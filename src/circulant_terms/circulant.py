@@ -8,7 +8,7 @@ summing subscripts, sufficient by a matching argument); p(n) counts the
 admissible b, d(n) counts those whose determinant coefficient is
 nonzero.
 
-Determinant coefficients come from two independent routes:
+Determinant coefficients come from three independent routes:
 
 * det_coeff_oracle: expand det(A) over all n! permutations and read off
   the coefficient.  Exact but factorial; bounded at n <= 12.
@@ -29,16 +29,27 @@ Determinant coefficients come from two independent routes:
   _Engine), det_coeff_er_terms exposes the literal per-lambda breakdown,
   and the test suite pins the two to each other and to the oracle.
 
+* det_table: every coefficient of one n at once.  The eigenvalue
+  product is the elementary symmetric function e_n(c), and Newton's
+  identities build it from the power sums p_j(c), which are n times the
+  part of (x_1+...+x_n)^j of weighted degree 0 mod n.  No permutation,
+  brick or root of unity is involved.  This is the route behind d(n)
+  and the `table`/`verify` subcommands, while det_coeff_er answers
+  single queries (`coeff`) and spot-checks a seeded sample of every
+  table.
+
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
 independent of b.  eps is determined empirically per n by comparing one
 coefficient against the oracle; only |coefficients| matter for d(n).
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import mul
 
 from .exactmath import euler_phi, divisors
 from .partitions import Partition, partitions_of, z_of
@@ -119,26 +130,63 @@ def hall_admissible(b):
     return b.q % b.n == 0
 
 
-def _compositions(total, k):
-    # weak compositions of total into k parts, lexicographic
-    if k == 1:
+def _residue_walk(n, total):
+    """Yield every exponent tuple a of length n with sum(a) = total and
+    sum(i*a_i) = 0 (mod n), in lexicographic order.
+
+    Variables are chosen in order x_1, x_2, ...; a suffix table records,
+    for each position and remaining degree, the residues mod n the
+    remaining variables can still reach, so every branch taken ends in
+    an admissible vector and nothing else is visited."""
+    if n == 1:
         yield (total,)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
+    full = (1 << n) - 1
+    # reach[i][r]: bitmask of residues sum((j+1)*a_j for j >= i) mod n
+    # over the ways to spend degree r on variables i+1..n (1-based)
+    reach = [[0] * (total + 1) for _ in range(n + 1)]
+    reach[n][0] = 1
+    for i in range(n - 1, -1, -1):
+        w = (i + 1) % n
+        row, nxt = reach[i], reach[i + 1]
+        for r in range(total + 1):
+            mask = 0
+            for a in range(r + 1):
+                m = nxt[r - a]
+                if m:
+                    s = (w * a) % n
+                    mask |= ((m << s) | (m >> (n - s))) & full
+            row[r] = mask
+    b = [0] * n
+    tail = n - 2
+
+    def descend(i, r, res):
+        # variables i+1..n must spend degree r and make up residue res
+        if i == tail:
+            # x_(n-1) has weight -1 and x_n weight 0 mod n, so the
+            # exponent of x_(n-1) is -res mod n and x_n takes the rest
+            for a in range((-res) % n, r + 1, n):
+                b[i] = a
+                b[i + 1] = r - a
+                yield tuple(b)
+            return
+        w = i + 1
+        nxt = reach[i + 1]
+        for a in range(r + 1):
+            need = (res - w * a) % n
+            if nxt[r - a] >> need & 1:
+                b[i] = a
+                yield from descend(i + 1, r - a, need)
+
+    if reach[0][total] & 1:
+        yield from descend(0, total, 0)
 
 
 def permanent_terms(n):
     """All admissible ExponentVectors in lexicographic order; |result| = p(n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = []
-    for b in _compositions(n, n):
-        q = sum((i + 1) * x for i, x in enumerate(b))
-        if q % n == 0:
-            out.append(ExponentVector(n, b))
-    return out
+    return [ExponentVector(n, b) for b in _residue_walk(n, n)]
 
 
 def p_count(n, method="formula"):
@@ -506,12 +554,101 @@ def det_coeff_er_terms(b):
     return out
 
 
+# ---------------------------------------------------------------------------
+# Newton route: every coefficient of one n at once
+
+# terms of each det_table checked against det_coeff_er
+SPOT_CHECKS = 8
+
+
+class RouteDisagreement(RuntimeError):
+    """Two coefficient routes gave different values for the same term."""
+
+
+def _signed_power_sum(n, j):
+    """(-1)^(j-1) * p_j(c_1..c_n) as {packed key: coefficient}.
+
+    p_j(c) = sum_k (sum_i x_i xi^(ik))^j keeps exactly the monomials x^a
+    of (x_1+...+x_n)^j with sum(i*a_i) = 0 (mod n), each n times its
+    multinomial coefficient j!/prod(a_i!).  Keys pack a in base n+1
+    with a_1 the most significant digit, so the dict is in
+    lexicographic order of a."""
+    fact = [factorial(i) for i in range(j + 1)]
+    place = [(n + 1) ** (n - 1 - i) for i in range(n)]
+    top = n * fact[j] if j % 2 else -n * fact[j]
+    return {sum(map(mul, a, place)): top // prod(map(fact.__getitem__, a))
+            for a in _residue_walk(n, j)}
+
+
+def _eigenvalue_product(n):
+    """e_n(c_1..c_n) = prod(c_k) as {packed key: coefficient}, with a
+    key for every admissible b, zeros included, in lexicographic order.
+
+    Newton's identities m*e_m = sum_{j=1..m} (-1)^(j-1) p_j e_(m-j)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.2) build
+    e_n from the power sums.  All their monomials have weighted degree
+    0 mod n, so every product lands on a key of p_m, which each step's
+    accumulator starts from: the keys never change after that, and at
+    m = n the accumulator, divided by n, is the table."""
+    p = [None]
+    e = [{0: 1}]
+    for m in range(1, n + 1):
+        acc = _signed_power_sum(n, m)
+        if m < n:
+            p.append(acc)
+            acc = dict(acc)
+        for j in range(1, m):
+            small, large = p[j], e[m - j]
+            if len(small) > len(large):
+                small, large = large, small
+            for ka, va in small.items():
+                for kb, vb in large.items():
+                    acc[ka + kb] += va * vb
+        for key, val in acc.items():
+            quo, rem = divmod(val, m)
+            if rem:
+                raise RuntimeError("Newton's identities gave a non-integer")
+            acc[key] = quo
+        if m < n:
+            e.append({key: val for key, val in acc.items() if val})
+    return acc
+
+
+def det_table(n):
+    """det_coeff_er(b) for every admissible b of size n, zeros included,
+    as a list aligned with permanent_terms(n).
+
+    Computed as one polynomial by Newton's identities, with no
+    permutations, bricks or roots of unity; SPOT_CHECKS terms drawn with
+    random.Random(n) are then recomputed by det_coeff_er, and a
+    difference raises RouteDisagreement naming n and b."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    product = _eigenvalue_product(n)
+    keys = list(product)
+    table = list(product.values())
+    for i in random.Random(n).sample(range(len(table)),
+                                     min(SPOT_CHECKS, len(table))):
+        digits = []
+        key = keys[i]
+        for _ in range(n):
+            key, x = divmod(key, n + 1)
+            digits.append(x)
+        b = ExponentVector(n, reversed(digits))
+        er = det_coeff_er(b)
+        if er != table[i]:
+            raise RouteDisagreement(
+                f"n={n} b={b}: {table[i]} by Newton's identities but "
+                f"{er} by det_coeff_er")
+    return table
+
+
 def d_count(n, method="er"):
     """The determinant's term count d(n): admissible b with nonzero
-    coefficient.  method "er" walks permanent_terms(n) through
-    det_coeff_er; method "oracle" expands the determinant (n <= 12)."""
+    coefficient.  method "er" counts the nonzero entries of det_table(n);
+    method "oracle" expands the determinant (n <= 12)."""
     if method == "er":
-        return sum(1 for b in permanent_terms(n) if det_coeff_er(b) != 0)
+        return sum(1 for c in det_table(n) if c)
     if method == "oracle":
         return len(expand_det(n))
     raise ValueError(f"unknown method {method!r}")

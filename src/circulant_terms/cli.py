@@ -6,7 +6,7 @@ stderr.  Every value is serialized as a decimal string (rationals as
 "num/den"), so no consumer ever sees a float, and identical invocations
 produce byte-identical output.
 
-Exit codes: 0 success/consistent, 1 usage or validation error, 2 an
+Exit codes: 0 success/consistent, 1 usage, validation or output error, 2 an
 internal cross-check caught an inconsistency.
 """
 
@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -21,13 +22,13 @@ from fractions import Fraction
 from .exactmath import prime_power
 from .partitions import partitions_of
 from .bricks import m_to_p_expansion
-from .circulant import (ExponentVector, ORACLE_MAX_N, d_count, det_coeff_er,
-                        det_coeff_oracle, expand_det, p_count,
-                        permanent_terms, sign_epsilon)
+from .circulant import (ExponentVector, ORACLE_MAX_N, RouteDisagreement,
+                        d_count, det_coeff_er, det_coeff_oracle, det_table,
+                        expand_det, p_count, permanent_terms, sign_epsilon)
 from .theorem import dominance_check
 
 # Reference term counts for n = 1..12 as (d, p); every entry is
-# recomputable from this package itself (d by either coefficient route,
+# recomputable from this package itself (d by any coefficient route,
 # p by any of the four counting methods).  `verify` exits 0 only when
 # its recomputation matches this row.
 REFERENCE_COUNTS = {
@@ -40,6 +41,10 @@ VERIFY_MAX_N = 12
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -66,10 +71,34 @@ def _emit(fieldnames, rows, fmt, out_path):
         text = json.dumps([{name: row[name] for name in fieldnames}
                            for row in rows], indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_atomically(out_path, text)
     else:
         sys.stdout.write(text)
+
+
+def _check_destination(path):
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise _OutputError(f"cannot write {path}: no directory {folder}")
+
+
+def _write_atomically(path, text):
+    # a temporary file beside the destination, renamed over it, so the
+    # destination never holds a partial table
+    tmp = os.path.join(os.path.dirname(path) or ".",
+                       f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_table(args):
@@ -79,6 +108,8 @@ def cmd_table(args):
         raise _UsageError("--max-n must be between 1 and 12")
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
+    if args.oracle_max < 0:
+        raise _UsageError("--oracle-max must be at least 0")
     oracle_limit = min(args.max_n, args.oracle_max, ORACLE_MAX_N)
     rows = []
     diagnostics = []
@@ -152,18 +183,18 @@ def cmd_verify(args):
         print(f"skipped: n={n} exceeds the supported bound "
               f"(n <= {VERIFY_MAX_N})", file=sys.stderr)
         return 1
+    coeffs = det_table(n)
     terms = permanent_terms(n)
+    nonzero = sum(1 for c in coeffs if c)
     expected_d, expected_p = REFERENCE_COUNTS[n]
+    ok = nonzero == expected_d and len(terms) == expected_p
     rows = []
     if prime_power(n) is not None:
         passes = 0
-        nonzero = 0
-        for b in terms:
-            report = dominance_check(b, n)
+        for b, c in zip(terms, coeffs):
+            report = dominance_check(b, n, c)
             if report.passed:
                 passes += 1
-            if det_coeff_er(b) != 0:
-                nonzero += 1
             others = ",".join(str(v) for v in report.other_valuations())
             rows.append({
                 "n": str(n), "b": str(b),
@@ -173,18 +204,15 @@ def cmd_verify(args):
         _emit(fieldnames, rows, args.format, args.out)
         print(f"{passes}/{len(terms)} dominance passes, d={nonzero}, "
               f"p={len(terms)}", file=sys.stderr)
-        ok = (passes == len(terms) and nonzero == expected_d
-              and len(terms) == expected_p)
+        ok = ok and passes == len(terms)
     else:
-        zeros = [b for b in terms if det_coeff_er(b) == 0]
-        for b in zeros:
-            rows.append({"n": str(n), "b": str(b), "pass": "false",
-                         "valuations": ""})
+        for b, c in zip(terms, coeffs):
+            if not c:
+                rows.append({"n": str(n), "b": str(b), "pass": "false",
+                             "valuations": ""})
         _emit(fieldnames, rows, args.format, args.out)
-        d = len(terms) - len(zeros)
-        print(f"{len(zeros)} vanishing coefficients, d={d}, p={len(terms)}",
-              file=sys.stderr)
-        ok = d == expected_d and len(terms) == expected_p
+        print(f"{len(rows)} vanishing coefficients, d={nonzero}, "
+              f"p={len(terms)}", file=sys.stderr)
     if not ok:
         print("inconsistency: results do not match the reference counts",
               file=sys.stderr)
@@ -264,13 +292,18 @@ def main(argv=None):
         print(exc, file=sys.stderr)
         return 1
     try:
+        if args.out is not None:
+            _check_destination(args.out)
         return args.func(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RouteDisagreement as exc:
+        print(f"inconsistency: {exc}", file=sys.stderr)
+        return 2
     except Exception:
         traceback.print_exc()
         print("internal inconsistency detected", file=sys.stderr)

@@ -52,7 +52,7 @@ class DominanceReport:
 
     passed is true iff the <q>-class valuation is strictly smaller than
     every other class's; construction verifies that the contributions sum
-    to det_coeff_er(b) and raises otherwise."""
+    to the coefficient of x^b and raises otherwise."""
 
     def __init__(self, n, b, p, r, q_class_valuation, class_records, passed):
         self.n = n
@@ -135,13 +135,14 @@ def contribution_ratio_factors(fc, b, n):
     return first, second
 
 
-def dominance_check(b, n):
+def dominance_check(b, n, coefficient=None):
     """Certify the valuation inequality for one admissible b at n = p^r.
 
     Enumerates every eligible lambda and every filling class, records
     each contribution and its p-adic valuation, and passes iff the
     <q>-class valuation is strictly smaller than all others.  Raises if
-    the contributions fail to sum to det_coeff_er(b)."""
+    the contributions fail to sum to the coefficient of x^b: the given
+    one (a det_table entry, say), or else det_coeff_er(b)."""
     pp = prime_power(n)
     if pp is None:
         raise ValueError("dominance argument applies to prime powers only")
@@ -169,7 +170,9 @@ def dominance_check(b, n):
                                        "q_class_contribution")
             elif v <= v_base:
                 passed = False
-    if total != det_coeff_er(b):
+    if coefficient is None:
+        coefficient = det_coeff_er(b)
+    if total != coefficient:
         raise RuntimeError("class contributions do not sum to the coefficient")
     return DominanceReport(n, b, p, r, v_base, records, passed)
 

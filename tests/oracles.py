@@ -8,6 +8,24 @@ from collections import Counter
 from itertools import permutations
 
 
+def weak_compositions(total, k):
+    """Every weak composition of total into k parts, lexicographic."""
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in weak_compositions(total - first, k - 1):
+            yield (first,) + rest
+
+
+def admissible_by_filter(n, total):
+    """The exponent tuples a of length n with sum(a) = total and
+    sum(i*a_i) = 0 (mod n), lexicographic, found by filtering all
+    C(total+n-1, n-1) weak compositions."""
+    return [a for a in weak_compositions(total, n)
+            if sum(i * x for i, x in enumerate(a, 1)) % n == 0]
+
+
 def arrangements(bricks):
     """All distinct left-to-right orderings of a brick multiset."""
     return sorted(set(permutations(bricks)))

@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import admissible_by_filter
 import circulant_terms.circulant as circ
 from circulant_terms.circulant import (
     ExponentVector,
+    RouteDisagreement,
     TermTable,
     d_count,
     det_coeff_er,
     det_coeff_er_terms,
     det_coeff_oracle,
+    det_table,
     expand_det,
     hall_admissible,
     p_count,
@@ -88,6 +91,13 @@ class TestPermanentTerms:
         for n in range(1, 7):
             expected = [ev for ev in _all_vectors(n) if hall_admissible(ev)]
             assert permanent_terms(n) == expected
+
+    def test_residue_walk_matches_composition_filter(self):
+        # every degree, since the power sums walk degrees below n too
+        for n in range(1, 10):
+            for total in range(n + 1):
+                assert list(circ._residue_walk(n, total)) == \
+                    admissible_by_filter(n, total), (n, total)
 
 
 class TestPCount:
@@ -226,6 +236,29 @@ class TestDCount:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             d_count(4, method="guess")
+
+
+class TestDetTable:
+    def test_matches_det_coeff_er_for_every_term(self):
+        for n in range(1, 11):
+            assert det_table(n) == \
+                [det_coeff_er(ev) for ev in permanent_terms(n)], n
+
+    def test_matches_signed_expansion(self):
+        for n in range(1, 9):
+            eps = sign_epsilon(n)
+            table = expand_det(n)
+            assert det_table(n) == \
+                [eps * table.coefficient(ev) for ev in permanent_terms(n)], n
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError):
+            det_table(0)
+
+    def test_spot_check_catches_disagreement(self, monkeypatch):
+        monkeypatch.setattr(circ, "det_coeff_er", lambda b: 10 ** 6)
+        with pytest.raises(RouteDisagreement, match=r"n=5 b=\d"):
+            det_table(5)
 
 
 class TestSignEpsilon:

@@ -76,6 +76,65 @@ class TestTable:
         assert code == 2
         assert "inconsistency" in err
 
+    def test_negative_oracle_max_rejected(self, capsys):
+        code, out, err = run(capsys, ["table", "--max-n", "3",
+                                      "--oracle-max", "-5"])
+        assert code == 1
+        assert out == ""
+        assert "--oracle-max" in err
+
+    def test_zero_oracle_max_skips_cross_check(self, capsys):
+        default = run(capsys, ["table", "--max-n", "3"])
+        assert run(capsys, ["table", "--max-n", "3",
+                            "--oracle-max", "0"]) == default
+
+
+class TestSpotCheck:
+    """det_table recomputes seeded terms by det_coeff_er; a difference
+    is a disagreement between routes."""
+
+    @pytest.mark.parametrize("argv", [["table", "--max-n", "4"],
+                                      ["verify", "4"], ["verify", "6"]])
+    def test_disagreement_exits_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(circ, "det_coeff_er", lambda b: 10 ** 6)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("inconsistency: n=")
+        assert " b=" in err
+        assert "Traceback" not in err
+
+
+class TestOut:
+    def test_missing_directory_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, ["verify", "4", "--out", str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot write")
+        assert "Traceback" not in err
+        assert not path.parent.exists()
+
+    def test_write_failure_exits_1(self, capsys, tmp_path):
+        # the destination is a directory, so the final rename fails
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, _, err = run(capsys, ["table", "--max-n", "2",
+                                    "--out", str(target)])
+        assert code == 1
+        assert err.startswith("error: cannot write")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_replaces_existing_file(self, capsys, tmp_path):
+        _, direct, _ = run(capsys, ["verify", "4"])
+        path = tmp_path / "v.csv"
+        path.write_text("stale\n")
+        code, out, _ = run(capsys, ["verify", "4", "--out", str(path)])
+        assert code == 0
+        assert out == ""
+        assert path.read_text() == direct
+        assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
+
 
 class TestCoeff:
     def test_er_default(self, capsys):

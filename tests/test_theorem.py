@@ -145,6 +145,12 @@ class TestDominanceCheck:
                         Fraction(0))
             assert total == det_coeff_er(ev)
 
+    def test_given_coefficient_is_checked(self):
+        ev = ExponentVector(3, (1, 1, 1))
+        assert dominance_check(ev, 3, det_coeff_er(ev)).passed
+        with pytest.raises(RuntimeError):
+            dominance_check(ev, 3, det_coeff_er(ev) + 1)
+
     def test_all_pass_for_small_prime_powers(self):
         for n in (2, 3, 4, 5):
             for ev in permanent_terms(n):
