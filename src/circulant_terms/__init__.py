@@ -8,10 +8,10 @@ from .bricks import (BrickMultiset, FillingClass, class_weight_sum,
                      enumerate_filling_classes, filling_weight,
                      m_to_p_expansion, row_weight_sum, verify_m2p)
 from .circulant import (ExponentVector, RouteDisagreement, TermTable,
-                        d_count, det_coeff_er, det_coeff_er_terms,
-                        det_coeff_oracle, det_table, expand_det,
-                        hall_admissible, p_count, permanent_terms,
-                        sign_epsilon)
+                        cache_sizes, clear_caches, d_count, det_coeff_er,
+                        det_coeff_er_terms, det_coeff_oracle, det_table,
+                        expand_det, hall_admissible, p_count,
+                        permanent_terms, sign_epsilon)
 from .theorem import (DominanceReport, class_contribution,
                       contribution_ratio_factors, dominance_check,
                       lemma_check, q_class_contribution)
@@ -20,10 +20,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BrickMultiset", "DominanceReport", "ExponentVector", "FillingClass",
-    "Partition", "RouteDisagreement", "TermTable", "class_contribution",
-    "class_weight_sum", "contribution_ratio_factors", "d_count",
-    "det_coeff_er", "det_coeff_er_terms", "det_coeff_oracle", "det_table",
-    "divisors", "dominance_check", "enumerate_filling_classes", "euler_phi",
+    "Partition", "RouteDisagreement", "TermTable", "cache_sizes",
+    "class_contribution", "class_weight_sum", "clear_caches",
+    "contribution_ratio_factors", "d_count", "det_coeff_er",
+    "det_coeff_er_terms", "det_coeff_oracle", "det_table", "divisors",
+    "dominance_check", "enumerate_filling_classes", "euler_phi",
     "expand_det", "factorial_of_partition", "filling_weight",
     "hall_admissible", "lemma_check", "m_to_p_expansion", "multinomial",
     "p_count", "partitions_of", "permanent_terms", "prime_power",

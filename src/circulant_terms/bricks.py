@@ -21,7 +21,7 @@ argument in the theorem module dissects prime by prime.
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from random import Random
 
 from .partitions import Partition, factorial_of_partition, partitions_of, z_of
@@ -94,24 +94,17 @@ def row_weight_sum(row_length, bricks):
     """
     if bricks.mass != row_length:
         raise ValueError("bricks do not fill row")
-    r = sum(bricks.counts)
-    num = factorial(r - 1) * row_length
-    den = 1
-    for c in bricks.counts:
-        den *= factorial(c)
-    val, rem = divmod(num, den)
+    return _row_weight(row_length, bricks.counts)
+
+
+def _row_weight(row_length, alpha):
+    # the closed form of row_weight_sum on the multiplicities alpha alone,
+    # for callers whose bricks fill the row by construction
+    val, rem = divmod(factorial(sum(alpha) - 1) * row_length,
+                      prod(map(factorial, alpha)))
     if rem:
         raise RuntimeError("row weight sum is not an integer")
     return val
-
-
-def _row_weight(row_length, mult):
-    # mult: {length: count}; same closed form, on the internal representation
-    r = sum(mult.values())
-    den = 1
-    for c in mult.values():
-        den *= factorial(c)
-    return factorial(r - 1) * row_length // den
 
 
 def _sub_multisets(counts, target):
@@ -173,7 +166,8 @@ def _w(rows, bricks):
             rem[s] -= 1
         rest = tuple(sorted((s for s, c in rem.items() for _ in range(c)),
                             reverse=True))
-        total += _row_weight(rows[0], Counter(sub)) * _w(rows[1:], rest)
+        total += (_row_weight(rows[0], Counter(sub).values())
+                  * _w(rows[1:], rest))
     _W_MEMO[key] = total
     return total
 
@@ -298,7 +292,7 @@ def class_weight_sum(fc):
     for length, m in Counter(fc.lam.parts).items():
         val *= factorial(m) // factorial_of_partition(fc.gamma[length])
     for length, row in zip(fc.lam.parts, fc.rows):
-        val *= _row_weight(length, Counter(row))
+        val *= _row_weight(length, Counter(row).values())
     return val
 
 

@@ -10,8 +10,13 @@ nonzero.
 
 Determinant coefficients come from three independent routes:
 
-* det_coeff_oracle: expand det(A) over all n! permutations and read off
-  the coefficient.  Exact but factorial; bounded at n <= 12.
+* det_coeff_oracle: expand det(A) as a signed sum over permutations
+  and read off the coefficient.  Only the (n-1)! permutations with
+  sigma(0) = 0 (rows and columns counted from 0) are visited: the
+  column shift tau_c(j) = j + c mod n maps them onto those with
+  sigma(0) = c, rotating each exponent vector by c and multiplying
+  each sign by sgn(tau_c) = (-1)^(c(n-1)).  Exact but factorial;
+  bounded at n <= 12.
 
 * det_coeff_er: det(A) equals, up to a global sign eps(n), the product
   of the circulant eigenvalues c_i = sum_j x_j xi^(ij) (xi a primitive
@@ -53,7 +58,7 @@ from operator import mul
 
 from .exactmath import euler_phi, divisors
 from .partitions import Partition, partitions_of, z_of
-from .bricks import filling_weight
+from .bricks import _W_MEMO, filling_weight
 
 ORACLE_MAX_N = 12
 
@@ -277,11 +282,6 @@ def _count_lattice_points(n):
 # oracle route: signed permutation sweep
 
 
-def _residue_matrix(n):
-    # variable index (0-based) at cell (i, j), 0-based: x_((i+j+1) mod n + 1)
-    return [[(i + j + 1) % n for j in range(n)] for i in range(n)]
-
-
 def _perm_sign(perm):
     seen = [False] * len(perm)
     sign = 1
@@ -298,35 +298,24 @@ def _perm_sign(perm):
     return sign
 
 
-def _sweep(n, first=None, target=None):
+def _sweep(n, first=None, second=None):
     """Sweep permutations with Heap's algorithm, tracking the sign (each
     step is one transposition) and the monomial's exponent counts
     incrementally.  With `first` given, only permutations with that value
-    in row 0 are visited, so sweeps partition by first row and partial
-    results merge by addition.  Returns {exponent tuple: coefficient}
-    or, with `target`, the single coefficient."""
-    res = _residue_matrix(n)
-    if first is None:
-        fixed = ()
-        values = list(range(n))
-        sign = 1
-    else:
-        fixed = (first,)
-        values = [v for v in range(n) if v != first]
-        sign = -1 if first % 2 else 1
-    m = len(values)
-    perm = list(fixed) + values
+    in row 0 are visited, and with `second` as well, only those with that
+    value in row 1, so sweeps partition by their leading rows and partial
+    results merge by addition.  Returns {exponent tuple: coefficient}."""
+    # variable index (0-based) at cell (i, j), 0-based: x_((i+j+1) mod n + 1)
+    res = [[(i + j + 1) % n for j in range(n)] for i in range(n)]
+    fixed = [v for v in (first, second) if v is not None]
+    perm = fixed + [v for v in range(n) if v not in fixed]
+    sign = _perm_sign(perm)
     counts = [0] * n
     for i, v in enumerate(perm):
         counts[res[i][v]] += 1
-    table = {}
-    accum = 0
-    if target is None:
-        key = tuple(counts)
-        table[key] = sign
-    elif counts == target:
-        accum += sign
+    table = {tuple(counts): sign}
     off = len(fixed)
+    m = n - off
     c = [0] * m
     i = 0
     while i < m:
@@ -340,56 +329,57 @@ def _sweep(n, first=None, target=None):
             counts[res[a][vb]] += 1
             counts[res[bpos][va]] += 1
             sign = -sign
-            if target is None:
-                key = tuple(counts)
-                table[key] = table.get(key, 0) + sign
-            elif counts == target:
-                accum += sign
+            key = tuple(counts)
+            table[key] = table.get(key, 0) + sign
             c[i] += 1
             i = 0
         else:
             c[i] = 0
             i += 1
-    return accum if target is not None else table
+    return table
 
 
-def _sweep_table_worker(args):
-    n, first = args
-    return _sweep(n, first=first)
+def _sweep_worker(args):
+    return _sweep(*args)
 
 
-def _sweep_target_worker(args):
-    n, first, target = args
-    return _sweep(n, first=first, target=list(target))
-
-
-def _fanout(worker, argses, jobs):
-    if jobs <= 1:
-        return [worker(a) for a in argses]
-    from multiprocessing import Pool
-    with Pool(jobs) as pool:
-        return pool.map(worker, argses)
+def _fixed_row_sweep(n, jobs):
+    """_sweep(n, first=0), or with jobs > 1 the same (n-1)! permutations
+    split by the value in row 1 over that many worker processes."""
+    if jobs <= 1 or n < 3:
+        return _sweep(n, first=0)
+    from multiprocessing import get_context
+    with get_context("spawn").Pool(min(jobs, n - 1)) as pool:
+        parts = pool.map(_sweep_worker, [(n, 0, s) for s in range(1, n)])
+    table = {}
+    for part in parts:
+        for key, coeff in part.items():
+            table[key] = table.get(key, 0) + coeff
+    return table
 
 
 def det_coeff_oracle(b, jobs=1):
-    """The coefficient of x^b in det(A) by direct signed expansion over
-    all n! permutations; exact, bounded at n <= 12."""
+    """The coefficient of x^b in det(A) by direct signed expansion;
+    exact, bounded at n <= 12.  The (n-1)! permutations with sigma(0) = 0
+    are swept into a table S; the column shift by c maps them onto those
+    with sigma(0) = c, exponents rotated by c and signs times
+    (-1)^(c(n-1)), so [x^b] = sum_c (-1)^(c(n-1)) S[b rotated back by c]."""
     n = b.n
     if n > ORACLE_MAX_N:
         raise ValueError("oracle bound exceeded")
-    if jobs <= 1:
-        return _sweep(n, target=list(b.b))
-    partials = _fanout(_sweep_target_worker,
-                       [(n, f, b.b) for f in range(n)], jobs)
-    return sum(partials)
+    swept = _fixed_row_sweep(n, jobs)
+    return sum((-1) ** (c * (n - 1)) * swept.get(b.b[c:] + b.b[:c], 0)
+               for c in range(n))
 
 
 _EXPAND_CACHE = {}
 
 
 def expand_det(n, jobs=1):
-    """The fully expanded determinant as a TermTable (n <= 12): all n!
-    signed permutation monomials, like terms combined, zeros dropped."""
+    """The fully expanded determinant as a TermTable (n <= 12), like
+    terms combined, zeros dropped.  The (n-1)! permutations with
+    sigma(0) = 0 are swept, and the column shift by c turns each of their
+    terms into one with exponents rotated by c and sign times (-1)^(c(n-1))."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > ORACLE_MAX_N:
@@ -397,14 +387,11 @@ def expand_det(n, jobs=1):
     cached = _EXPAND_CACHE.get(n)
     if cached is not None:
         return cached
-    if jobs <= 1:
-        raw = _sweep(n)
-    else:
-        raw = {}
-        for partial in _fanout(_sweep_table_worker,
-                               [(n, f) for f in range(n)], jobs):
-            for key, coeff in partial.items():
-                raw[key] = raw.get(key, 0) + coeff
+    raw = {}
+    for key, coeff in _fixed_row_sweep(n, jobs).items():
+        for c in range(n):
+            shifted = key[n - c:] + key[:n - c]
+            raw[shifted] = raw.get(shifted, 0) + (-1) ** (c * (n - 1)) * coeff
     entries = {ExponentVector(n, key): coeff
                for key, coeff in sorted(raw.items()) if coeff}
     table = TermTable(n, entries)
@@ -526,6 +513,22 @@ def _engine(n):
     if eng is None:
         eng = _ENGINES[n] = _Engine(n)
     return eng
+
+
+def cache_sizes():
+    """Entries held by the process-wide caches, which grow until
+    clear_caches() empties them: coefficient-engine states over every n,
+    expanded determinants, and brick-filling weights."""
+    return {"engine_states": sum(len(e.memo) for e in _ENGINES.values()),
+            "expanded_determinants": len(_EXPAND_CACHE),
+            "filling_weights": len(_W_MEMO)}
+
+
+def clear_caches():
+    """Empty every cache cache_sizes() reports."""
+    _ENGINES.clear()
+    _EXPAND_CACHE.clear()
+    _W_MEMO.clear()
 
 
 def det_coeff_er(b):

@@ -144,6 +144,8 @@ def cmd_coeff(args):
     except ValueError:
         raise _UsageError("b must be comma-separated integers") from None
     b = ExponentVector(args.n, entries)
+    if args.method != "er" and args.n > ORACLE_MAX_N:
+        raise ValueError("oracle bound exceeded")
     row = {"n": str(args.n), "b": str(b)}
     inconsistent = False
     if args.method in ("er", "both"):

@@ -11,6 +11,7 @@ from oracles import (
 from circulant_terms.bricks import (
     BrickMultiset,
     FillingClass,
+    _row_weight,
     class_weight_sum,
     enumerate_filling_classes,
     filling_weight,
@@ -58,6 +59,12 @@ class TestRowWeightSum:
     def test_mass_mismatch_rejected(self):
         with pytest.raises(ValueError):
             row_weight_sum(5, BrickMultiset.from_lengths([2, 2]))
+
+    def test_non_integral_closed_form_raises(self):
+        # two bricks cannot fill a row of length 1, and the closed form
+        # on their multiplicities gives 1/2
+        with pytest.raises(RuntimeError):
+            _row_weight(1, (2,))
 
     def test_matches_enumeration_for_all_small_multisets(self):
         # every brick multiset of mass <= 9, one row holding all of it

@@ -1,13 +1,17 @@
+import multiprocessing
 from fractions import Fraction
 
 import pytest
 
 from oracles import admissible_by_filter
+import circulant_terms.bricks as bricks
 import circulant_terms.circulant as circ
 from circulant_terms.circulant import (
     ExponentVector,
     RouteDisagreement,
     TermTable,
+    cache_sizes,
+    clear_caches,
     d_count,
     det_coeff_er,
     det_coeff_er_terms,
@@ -297,6 +301,92 @@ class TestParallelSweep:
         circ._EXPAND_CACHE.pop(5, None)
         parallel = dict(expand_det(5, jobs=2).entries)
         assert parallel == serial
+
+
+class TestColumnShift:
+    """The oracle sweeps only sigma(0) = 0; composing with the column
+    shift by c rotates exponents by c and multiplies signs by
+    (-1)^(c(n-1)).  These tests pin that to the literal n! sweep."""
+
+    @staticmethod
+    def nonzero(table):
+        return {key: coeff for key, coeff in table.items() if coeff}
+
+    def test_shifted_fixed_row_sweep_is_the_full_sweep(self):
+        for n in range(1, 9):
+            shifted = {}
+            for key, coeff in circ._sweep(n, first=0).items():
+                for c in range(n):
+                    # the permutation tau_c o sigma puts x_(v+c) where
+                    # sigma put x_v
+                    rotated = tuple(key[(w - c) % n] for w in range(n))
+                    sign = (-1) ** (c * (n - 1))
+                    shifted[rotated] = shifted.get(rotated, 0) + sign * coeff
+            assert self.nonzero(shifted) == self.nonzero(circ._sweep(n)), n
+
+    def test_oracle_matches_full_sweep_on_every_key(self):
+        for n in range(1, 8):
+            for key, coeff in circ._sweep(n).items():
+                assert det_coeff_oracle(ExponentVector(n, key)) == coeff, \
+                    (n, key)
+
+    def test_jobs_give_serial_results(self):
+        for n, keys in ((6, [(0, 1, 1, 2, 1, 1), (1, 0, 3, 0, 1, 1)]),
+                        (7, [(1, 1, 1, 1, 1, 1, 1), (0, 0, 2, 0, 5, 0, 0)])):
+            serial = dict(expand_det(n).entries)
+            circ._EXPAND_CACHE.pop(n, None)
+            assert dict(expand_det(n, jobs=2).entries) == serial
+            for key in keys:
+                ev = ExponentVector(n, key)
+                assert det_coeff_oracle(ev, jobs=2) == \
+                    det_coeff_oracle(ev, jobs=1) == serial.get(ev, 0)
+
+    def test_jobs_split_one_fixed_row_sweep(self, monkeypatch):
+        # the workers get row 1's n - 1 values under sigma(0) = 0, so
+        # together they visit (n-1)! permutations, as one serial sweep does
+        handed = []
+
+        class InProcess:
+            def Pool(self, processes):
+                return self
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, argses):
+                handed.extend(argses)
+                return [fn(args) for args in argses]
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: InProcess())
+        n = 7
+        table = circ._fixed_row_sweep(n, jobs=3)
+        assert handed == [(n, 0, s) for s in range(1, n)]
+        assert self.nonzero(table) == self.nonzero(circ._sweep(n, first=0))
+
+
+class TestCaches:
+    def test_sizes_reported_and_cleared(self):
+        clear_caches()
+        assert cache_sizes() == {"engine_states": 0,
+                                 "expanded_determinants": 0,
+                                 "filling_weights": 0}
+        ev = ExponentVector(4, (0, 2, 0, 2))
+        values = (expand_det(4).coefficient(ev), det_coeff_er(ev),
+                  det_coeff_er_terms(ev))
+        sizes = cache_sizes()
+        assert sizes["expanded_determinants"] == 1
+        assert sizes["engine_states"] > 1
+        assert sizes["filling_weights"] > 0
+        assert sizes["engine_states"] == len(circ._ENGINES[4].memo)
+        assert sizes["filling_weights"] == len(bricks._W_MEMO)
+        clear_caches()
+        assert set(cache_sizes().values()) == {0}
+        assert (expand_det(4).coefficient(ev), det_coeff_er(ev),
+                det_coeff_er_terms(ev)) == values
 
 
 class TestTermTable:

@@ -186,6 +186,17 @@ class TestCoeff:
         assert code == 1
         assert err != ""
 
+    def test_oracle_bound_checked_before_computing(self, capsys,
+                                                   monkeypatch):
+        def never(b):
+            raise AssertionError("det_coeff_er ran past the oracle bound")
+
+        monkeypatch.setattr(cli, "det_coeff_er", never)
+        b = ",".join(["13"] + ["0"] * 12)
+        for method in ("oracle", "both"):
+            assert run(capsys, ["coeff", "13", b, "--method", method]) == \
+                (1, "", "error: oracle bound exceeded\n")
+
     def test_forced_disagreement_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "sign_epsilon", lambda n: 1)
         code, out, err = run(capsys, ["coeff", "3", "1,1,1",

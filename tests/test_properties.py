@@ -1,8 +1,11 @@
 """Property tests: the three coefficient routes agree on random terms,
-and the CLI's data output is a function of its arguments alone."""
+the CLI's data output is a function of its arguments alone, and its CSV
+and JSON forms carry the same rows."""
 
 import contextlib
+import csv
 import io
+import json
 
 from hypothesis import given, settings, strategies as st
 
@@ -45,3 +48,28 @@ def test_cli_stdout_repeats_byte_for_byte(argv):
     first = _stdout(list(argv))
     assert first[0] == 0
     assert _stdout(list(argv)) == first
+
+
+@st.composite
+def table_or_coeff_argv(draw):
+    """A `table` or `coeff` command line; coeff's b is any exponent
+    vector summing to n, admissible or not."""
+    if draw(st.booleans()):
+        return ["table", "--max-n", str(draw(st.integers(1, 8))),
+                "--oracle-max", str(draw(st.integers(0, 6)))]
+    n = draw(st.integers(1, 7))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=n - 1,
+                                max_size=n - 1)))
+    b = [hi - lo for lo, hi in zip([0] + cuts, cuts + [n])]
+    method = draw(st.sampled_from(("er", "oracle", "both")))
+    return ["coeff", str(n), ",".join(map(str, b)), "--method", method]
+
+
+@settings(max_examples=25, deadline=None)
+@given(table_or_coeff_argv())
+def test_csv_and_json_parse_to_the_same_rows(argv):
+    code, as_csv = _stdout(argv + ["--format", "csv"])
+    assert code == 0
+    code, as_json = _stdout(argv + ["--format", "json"])
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(as_csv))) == json.loads(as_json)
