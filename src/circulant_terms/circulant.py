@@ -358,21 +358,25 @@ def _fixed_row_sweep(n, jobs):
     return table
 
 
+_EXPAND_CACHE = {}
+
+
 def det_coeff_oracle(b, jobs=1):
     """The coefficient of x^b in det(A) by direct signed expansion;
     exact, bounded at n <= 12.  The (n-1)! permutations with sigma(0) = 0
     are swept into a table S; the column shift by c maps them onto those
     with sigma(0) = c, exponents rotated by c and signs times
-    (-1)^(c(n-1)), so [x^b] = sum_c (-1)^(c(n-1)) S[b rotated back by c]."""
+    (-1)^(c(n-1)), so [x^b] = sum_c (-1)^(c(n-1)) S[b rotated back by c].
+    When expand_det(n) is already cached, its entry is returned instead."""
     n = b.n
     if n > ORACLE_MAX_N:
         raise ValueError("oracle bound exceeded")
+    cached = _EXPAND_CACHE.get(n)
+    if cached is not None:
+        return cached.coefficient(b)
     swept = _fixed_row_sweep(n, jobs)
     return sum((-1) ** (c * (n - 1)) * swept.get(b.b[c:] + b.b[:c], 0)
                for c in range(n))
-
-
-_EXPAND_CACHE = {}
 
 
 def expand_det(n, jobs=1):
@@ -421,6 +425,13 @@ class _Engine:
     recursion that always places the largest remaining brick, memoized
     across all b of a given n: multisets of bricks are encoded as packed
     base-(n+1) integers so removing a block is a subtraction.
+
+    Each state's block walk visits only the brick lengths it holds, and
+    enters a branch only if a per-state bitmask says the bricks still to
+    choose, length-1 bricks included, can bring the block's length-sum
+    to 0 mod n.  Every branch dropped would have ended in a length-1
+    loop that never runs, so the memoized states, and the order h visits
+    them in, are those of the full walk.
     """
 
     def __init__(self, n):
@@ -475,11 +486,26 @@ class _Engine:
                 a += n
         else:
             # one length-(top+1) brick is distinguished and anchors the
-            # block; lengths top+1..2 choose freely, length-1 count is
-            # forced mod n at the leaf
-            def descend(i, s, tkey, r, ways):
+            # block; the occupied lengths below it choose freely, largest
+            # first, and the length-1 count is forced mod n at the leaf
+            lengths = [i for i in range(top - 1, 0, -1) if counts[i]]
+            depth = len(lengths)
+            full = (1 << n) - 1
+            # reach[k]: bitmask of the residues mod n that lengths[k:]
+            # and the length-1 bricks can still add to the block
+            reach = [0] * depth + [(1 << min(c1 + 1, n)) - 1]
+            for k in range(depth - 1, -1, -1):
+                size = lengths[k] + 1
+                m = reach[k + 1]
+                mask = 0
+                for a in range(counts[lengths[k]] + 1):
+                    t = size * a % n
+                    mask |= ((m << t) | (m >> (n - t))) & full
+                reach[k] = mask
+
+            def descend(k, s, tkey, r, ways):
                 nonlocal acc
-                if i == 0:
+                if k == depth:
                     a = (-s) % n
                     remkey = key - tkey
                     while a <= c1:
@@ -487,20 +513,23 @@ class _Engine:
                         acc += w * h(remkey - a)
                         a += n
                     return
-                descend(i - 1, s, tkey, r, ways)
+                i = lengths[k]
                 ci = counts[i]
-                if ci:
-                    size = i + 1
-                    step = powers[i]
-                    for a in range(1, ci + 1):
-                        descend(i - 1, s + size * a, tkey + step * a,
-                                r + a, ways * comb(ci, a))
+                size = i + 1
+                step = powers[i]
+                below = reach[k + 1]
+                for a in range(ci + 1):
+                    t = s + size * a
+                    if below >> (-t % n) & 1:
+                        descend(k + 1, t, tkey + step * a, r + a,
+                                ways * comb(ci, a))
 
             ct = counts[top]
             size = top + 1
             step = powers[top]
             for a in range(1, ct + 1):
-                descend(top - 1, size * a, step * a, a, comb(ct - 1, a - 1))
+                if reach[0] >> (-size * a % n) & 1:
+                    descend(0, size * a, step * a, a, comb(ct - 1, a - 1))
         self.memo[key] = acc
         return acc
 

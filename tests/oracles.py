@@ -26,6 +26,18 @@ def admissible_by_filter(n, total):
             if sum(i * x for i, x in enumerate(a, 1)) % n == 0]
 
 
+def random_admissible(rng, n):
+    """A uniformly random admissible exponent tuple of length n: a weak
+    composition of n by stars and bars, redrawn until sum(i*b_i) = 0
+    (mod n)."""
+    while True:
+        cuts = sorted(rng.sample(range(2 * n - 1), n - 1))
+        b = tuple(hi - lo - 1
+                  for lo, hi in zip([-1] + cuts, cuts + [2 * n - 1]))
+        if sum(i * x for i, x in enumerate(b, 1)) % n == 0:
+            return b
+
+
 def arrangements(bricks):
     """All distinct left-to-right orderings of a brick multiset."""
     return sorted(set(permutations(bricks)))

@@ -1,9 +1,10 @@
 import multiprocessing
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import admissible_by_filter
+from oracles import admissible_by_filter, random_admissible
 import circulant_terms.bricks as bricks
 import circulant_terms.circulant as circ
 from circulant_terms.circulant import (
@@ -153,6 +154,24 @@ class TestDetCoeffOracle:
         with pytest.raises(ValueError):
             det_coeff_oracle(ExponentVector(13, b))
 
+    def test_reads_a_cached_expansion(self, monkeypatch):
+        table = expand_det(8)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept although expand_det(8) is cached")
+
+        monkeypatch.setattr(circ, "_sweep", no_sweep)
+        for ev in permanent_terms(8):
+            assert det_coeff_oracle(ev) == table.coefficient(ev), ev
+
+    def test_uncached_sweep_matches_expansion(self):
+        for n in range(1, 7):
+            circ._EXPAND_CACHE.pop(n, None)
+            swept = [det_coeff_oracle(ev) for ev in permanent_terms(n)]
+            table = expand_det(n)
+            assert swept == [table.coefficient(ev)
+                             for ev in permanent_terms(n)], n
+
 
 class TestExpandDet:
     def test_n1(self):
@@ -226,6 +245,45 @@ class TestDetCoeffEr:
                  if det_coeff_er(ev) == 0]
         assert len(zeros) == 12
         assert (0, 1, 1, 2, 1, 1) in zeros
+
+
+class TestEngineBeyondOracle:
+    """The engine above the oracle's bound, against the literal
+    per-partition sum of det_coeff_er_terms."""
+
+    # draws with at most this many nonzero exponents keep the literal
+    # sum to a few tenths of a second per term at n <= 19
+    MAX_LENGTHS = 6
+
+    def test_matches_literal_sum(self):
+        rng = random.Random("beyond-oracle")
+        for n in range(13, 20):
+            for _ in range(3):
+                b = random_admissible(rng, n)
+                while sum(1 for x in b if x) > self.MAX_LENGTHS:
+                    b = random_admissible(rng, n)
+                ev = ExponentVector(n, b)
+                value = det_coeff_er(ev)
+                assert value == sum(det_coeff_er_terms(ev).values()), b
+                if n in (13, 16, 17, 19):
+                    assert value != 0, b
+
+    def test_memo_states_pinned(self):
+        # one cold query each, b drawn by random_admissible with
+        # random.Random("engine-states"); the counts were measured with
+        # the unpruned block walk, and pruning must not change them
+        cases = {
+            16: ((1, 1, 0, 2, 2, 0, 0, 0, 2, 1, 1, 1, 0, 4, 0, 1), 269),
+            17: ((0, 0, 1, 0, 1, 0, 3, 0, 3, 0, 0, 4, 0, 0, 0, 2, 3), 175),
+            18: ((0, 0, 0, 5, 3, 2, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 5),
+                 121),
+            19: ((0, 1, 4, 0, 0, 2, 1, 1, 1, 0, 0, 1, 0, 2, 2, 1, 1, 1, 1),
+                 1821),
+        }
+        for n, (b, states) in cases.items():
+            circ._ENGINES.pop(n, None)
+            det_coeff_er(ExponentVector(n, b))
+            assert len(circ._ENGINES[n].memo) == states, n
 
 
 class TestDCount:

@@ -1,11 +1,13 @@
 """Property tests: the three coefficient routes agree on random terms,
-the CLI's data output is a function of its arguments alone, and its CSV
-and JSON forms carry the same rows."""
+the global sign has its closed form, the CLI's data output is a
+function of its arguments alone, and its CSV and JSON forms carry the
+same rows."""
 
 import contextlib
 import csv
 import io
 import json
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,13 @@ def test_newton_engine_and_oracle_agree(case):
     n, i, b = case
     assert det_table(n)[i] == det_coeff_er(b) == \
         sign_epsilon(n) * det_coeff_oracle(b)
+
+
+@settings(max_examples=64, deadline=None)
+@given(st.integers(1, 64))
+def test_sign_epsilon_closed_form(n):
+    # the x_1^n probe runs the engine's branch with only length-1 bricks
+    assert sign_epsilon(n) == (-1) ** comb(n - 1, 2)
 
 
 def _stdout(argv):
