@@ -15,8 +15,10 @@ the monomial symmetric function m_mu in the power-sum basis:
 
 Fillings of a fixed (lambda, mu) split into equivalence classes under
 rearranging bricks within a row and swapping the brick sets of
-equal-length rows; class totals have a closed form that the dominance
-argument in the theorem module dissects prime by prime.
+equal-length rows; class totals have a closed form, class_weight_sum,
+that the dominance argument in the theorem module dissects prime by
+prime.  _er_term is the one home of the expansion's term, which the
+determinant's partition sum and the class contributions share.
 """
 
 from collections import Counter
@@ -67,10 +69,7 @@ class BrickMultiset:
 
     def lengths(self):
         """All brick lengths with multiplicity, longest first."""
-        out = []
-        for i in range(len(self.counts), 0, -1):
-            out.extend([i] * self.counts[i - 1])
-        return tuple(out)
+        return Partition.from_beta(self.counts).parts
 
     def __setattr__(self, name, value):
         raise AttributeError("BrickMultiset is immutable")
@@ -105,6 +104,11 @@ def _row_weight(row_length, alpha):
     if rem:
         raise RuntimeError("row weight sum is not an integer")
     return val
+
+
+def _runs(seq):
+    """(value, multiplicity) for each run of equal items of a sorted seq."""
+    return [(value, seq.count(value)) for value in dict.fromkeys(seq)]
 
 
 def _sub_multisets(counts, target):
@@ -189,15 +193,18 @@ class FillingClass:
         rows = [tuple(sorted(row, reverse=True)) for row in rows]
         if len(rows) != lam.k:
             raise ValueError("one brick multiset per row required")
-        # canonicalize: within each run of equal-length rows, assignments
-        # in non-increasing order
+        # canonicalize each run of equal-length rows to non-increasing
+        # order, which puts identical assignments next to each other
+        gamma = {}
+        delta = []
         i = 0
-        while i < len(lam.parts):
-            j = i
-            while j < len(lam.parts) and lam.parts[j] == lam.parts[i]:
-                j += 1
-            rows[i:j] = sorted(rows[i:j], reverse=True)
-            i = j
+        for length, beta in _runs(lam.parts):
+            run = sorted(rows[i:i + beta], reverse=True)
+            rows[i:i + beta] = run
+            mults = sorted((m for _, m in _runs(run)), reverse=True)
+            gamma[length] = Partition(mults)
+            delta.extend(mults)
+            i += beta
         rows = tuple(rows)
         for length, row in zip(lam.parts, rows):
             if sum(row) != length:
@@ -208,17 +215,6 @@ class FillingClass:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "r", tuple(len(row) for row in rows))
-        gamma = {}
-        delta = []
-        i = 0
-        while i < len(lam.parts):
-            j = i
-            while j < len(lam.parts) and lam.parts[j] == lam.parts[i]:
-                j += 1
-            mults = tuple(sorted(Counter(rows[i:j]).values(), reverse=True))
-            gamma[lam.parts[i]] = Partition(mults)
-            delta.extend(mults)
-            i = j
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "delta", Partition(sorted(delta, reverse=True)))
 
@@ -250,12 +246,7 @@ def enumerate_filling_classes(lam, mu):
     """
     if lam.q != mu.q:
         raise ValueError("sizes differ")
-    runs = []
-    for length in lam.parts:
-        if runs and runs[-1][0] == length:
-            runs[-1][1] += 1
-        else:
-            runs.append([length, 1])
+    runs = _runs(lam.parts)
     out = []
 
     def fill_runs(ri, counts, acc_rows):
@@ -285,27 +276,38 @@ def enumerate_filling_classes(lam, mu):
 def class_weight_sum(fc):
     """Total weight of all fillings in one equivalence class.
 
-    Closed form: prod over distinct row lengths i of beta_i!/gamma(F,i)!
-    times prod over rows of row_weight_sum; always an integer.
+    Closed form: prod over distinct row lengths i of beta_i!/gamma(F,i)!,
+    which is prod_i beta_i!/delta(F)!, times prod over rows of
+    row_weight_sum; always an integer.
     """
-    val = 1
-    for length, m in Counter(fc.lam.parts).items():
-        val *= factorial(m) // factorial_of_partition(fc.gamma[length])
+    val = (prod(factorial(beta) for _, beta in _runs(fc.lam.parts))
+           // factorial_of_partition(fc.delta))
     for length, row in zip(fc.lam.parts, fc.rows):
-        val *= _row_weight(length, Counter(row).values())
+        val *= _row_weight(length, [m for _, m in _runs(row)])
     return val
+
+
+def _er_term(mu, lam, weight, n):
+    # lambda's term, weight = w(lambda, mu) or one class's share of it,
+    # with each power sum p_(lambda_j) evaluated to n
+    sign = -1 if (mu.k - lam.k) % 2 else 1
+    return Fraction(sign * weight * n ** lam.k, z_of(lam))
+
+
+def _er_terms(mu, lams, n):
+    """{lambda: its term with weight w(lambda, mu)}, zero terms omitted."""
+    out = {}
+    for lam in lams:
+        w = _w(lam.parts, mu.parts)
+        if w:
+            out[lam] = _er_term(mu, lam, w, n)
+    return out
 
 
 def m_to_p_expansion(mu):
     """Return {lambda: coefficient} for m_mu expanded in power sums,
     zero coefficients omitted."""
-    out = {}
-    for lam in partitions_of(mu.q):
-        w = _w(lam.parts, mu.parts)
-        if w:
-            sign = -1 if (mu.k - lam.k) % 2 else 1
-            out[lam] = Fraction(sign * w, z_of(lam))
-    return out
+    return _er_terms(mu, partitions_of(mu.q), 1)
 
 
 class M2PReport:

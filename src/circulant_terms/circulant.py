@@ -45,20 +45,19 @@ Determinant coefficients come from three independent routes:
 
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
-independent of b.  eps is determined empirically per n by comparing one
-coefficient against the oracle; only |coefficients| matter for d(n).
+independent of b.  sign_epsilon reads eps off the monomial x_1^n, which
+comes from a single permutation, so it needs no oracle sweep and works
+for any n; only |coefficients| matter for d(n).
 """
 
 import random
-from collections import Counter
-from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, prod
 from operator import mul
 
 from .exactmath import euler_phi, divisors
-from .partitions import Partition, partitions_of, z_of
-from .bricks import _W_MEMO, filling_weight
+from .partitions import Partition, partitions_of
+from .bricks import _W_MEMO, _er_terms
 
 ORACLE_MAX_N = 12
 
@@ -88,10 +87,7 @@ class ExponentVector:
 
     def mu(self):
         """The brick partition <1^b_1 ... n^b_n> of q."""
-        parts = []
-        for i in range(self.n, 0, -1):
-            parts.extend([i] * self.b[i - 1])
-        return Partition(parts)
+        return Partition.from_beta(self.b)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExponentVector is immutable")
@@ -576,14 +572,7 @@ def det_coeff_er_terms(b):
     q = b.q
     if q % n:
         return {}
-    mu = b.mu()
-    out = {}
-    for lam in partitions_of(q, n):
-        w = filling_weight(lam, mu)
-        if w:
-            sign = -1 if (mu.k - lam.k) % 2 else 1
-            out[lam] = Fraction(sign * w * n ** lam.k, z_of(lam))
-    return out
+    return _er_terms(b.mu(), partitions_of(q, n), n)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,9 @@ REFERENCE_COUNTS = {
 
 VERIFY_MAX_N = 12
 
+# cold coeff queries: seconds at n = 24, past a minute at 26 (see README)
+COEFF_MAX_N = 24
+
 
 class _UsageError(Exception):
     pass
@@ -71,7 +74,7 @@ def _emit(fieldnames, rows, fmt, out_path):
         text = json.dumps([{name: row[name] for name in fieldnames}
                            for row in rows], indent=2) + "\n"
     if out_path:
-        _write_atomically(out_path, text)
+        _write_out(out_path, text)
     else:
         sys.stdout.write(text)
 
@@ -80,6 +83,18 @@ def _check_destination(path):
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise _OutputError(f"cannot write {path}: no directory {folder}")
+
+
+def _write_out(path, text):
+    try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            # a device or pipe, which a rename would replace by a file
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            _write_atomically(path, text)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _write_atomically(path, text):
@@ -93,12 +108,12 @@ def _write_atomically(path, text):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except OSError as exc:
+    except OSError:
         try:
             os.unlink(tmp)
         except OSError:
             pass
-        raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
+        raise
 
 
 def cmd_table(args):
@@ -139,6 +154,8 @@ def cmd_coeff(args):
     """The exact coefficient of x^b in det(A), by the requested method(s)."""
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
+    if args.n > COEFF_MAX_N:
+        raise ValueError(f"coeff bound exceeded (n <= {COEFF_MAX_N})")
     try:
         entries = [int(tok) for tok in args.b.split(",")]
     except ValueError:

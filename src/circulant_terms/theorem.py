@@ -5,7 +5,8 @@ per-class contributions, one for each equivalence class of fillings of
 each eligible lambda (parts divisible by n, lambda of q) by the bricks
 mu = <1^b_1 ... n^b_n>:
 
-    contribution(F) = (-1)^(k(mu)-k) * n^k / delta(F)!
+    contribution(F) = (-1)^(k(mu)-k) * n^k * class_weight_sum(F) / z(lambda)
+                    = (-1)^(k(mu)-k) * n^k / delta(F)!
                       * prod over rows j of (r_j - 1)! / prod_i alpha_ij!
 
 The single-row partition <q> contributes exactly one class with value
@@ -23,11 +24,10 @@ lemma_check covers the multinomial valuation bound that drives it.
 """
 
 from fractions import Fraction
-from math import factorial
 
 from .exactmath import multinomial, prime_power, valuation
 from .partitions import factorial_of_partition, partitions_of
-from .bricks import enumerate_filling_classes
+from .bricks import _er_term, class_weight_sum, enumerate_filling_classes
 from .circulant import det_coeff_er, hall_admissible
 
 
@@ -51,8 +51,8 @@ class DominanceReport:
     """All class contributions for one (n, b), with their p-adic valuations.
 
     passed is true iff the <q>-class valuation is strictly smaller than
-    every other class's; construction verifies that the contributions sum
-    to the coefficient of x^b and raises otherwise."""
+    every other class's.  dominance_check, which builds the report, has
+    already checked that the contributions sum to the coefficient of x^b."""
 
     def __init__(self, n, b, p, r, q_class_valuation, class_records, passed):
         self.n = n
@@ -88,21 +88,10 @@ def q_class_contribution(b):
 
 def class_contribution(fc, n):
     """One class's exact contribution to the coefficient sum:
-    (-1)^(k(mu)-k) * n^k / delta! * prod_j (r_j - 1)!/prod_i alpha_ij!."""
+    (-1)^(k(mu)-k) * n^k * class_weight_sum(fc) / z(lambda)."""
     if any(part % n for part in fc.lam.parts):
         raise ValueError("lambda parts must be multiples of n")
-    k = fc.lam.k
-    sign = -1 if (fc.mu.k - k) % 2 else 1
-    val = Fraction(sign * n ** k, factorial_of_partition(fc.delta))
-    for row in fc.rows:
-        den = 1
-        seen = {}
-        for s in row:
-            seen[s] = seen.get(s, 0) + 1
-        for m in seen.values():
-            den *= factorial(m)
-        val *= Fraction(factorial(len(row) - 1), den)
-    return val
+    return _er_term(fc.mu, fc.lam, class_weight_sum(fc), n)
 
 
 def contribution_ratio_factors(fc, b, n):

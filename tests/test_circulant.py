@@ -24,6 +24,7 @@ from circulant_terms.circulant import (
     permanent_terms,
     sign_epsilon,
 )
+from circulant_terms.bricks import m_to_p_expansion
 from circulant_terms.partitions import Partition
 
 # per(A) and det(A) term counts for n = 1..12
@@ -239,6 +240,15 @@ class TestDetCoeffEr:
                 total = sum(det_coeff_er_terms(ev).values(), Fraction(0))
                 assert total.denominator == 1
                 assert det_coeff_er(ev) == total
+
+    def test_terms_are_scaled_power_sum_coefficients(self):
+        # p_lambda at the n-th roots of unity is n^k(lambda), so each
+        # term is that times the coefficient of p_lambda in m_mu
+        for n in range(1, 5):
+            for ev in permanent_terms(n):
+                expansion = m_to_p_expansion(ev.mu())
+                for lam, term in det_coeff_er_terms(ev).items():
+                    assert term == n ** lam.k * expansion[lam]
 
     def test_nonzero_count_at_6(self):
         zeros = [ev.b for ev in permanent_terms(6)

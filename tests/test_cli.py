@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import stat
 
 import pytest
 
@@ -135,6 +137,23 @@ class TestOut:
         assert path.read_text() == direct
         assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_pipe_is_written_not_replaced(self, capsys, tmp_path):
+        # a rename over a pipe or device would replace it by a regular file
+        fifo = tmp_path / "rows"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, _ = run(capsys, ["table", "--max-n", "3",
+                                        "--out", str(fifo)])
+            data = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert (code, out) == (0, "")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert data == "n,d,p,equal\n1,1,1,true\n2,2,2,true\n3,4,4,true\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows"]
+
 
 class TestCoeff:
     def test_er_default(self, capsys):
@@ -196,6 +215,28 @@ class TestCoeff:
         for method in ("oracle", "both"):
             assert run(capsys, ["coeff", "13", b, "--method", method]) == \
                 (1, "", "error: oracle bound exceeded\n")
+
+    def test_coeff_bound_checked_before_computing(self, capsys,
+                                                  monkeypatch):
+        calls = []
+
+        def engine(b):
+            if b.n > cli.COEFF_MAX_N:
+                raise AssertionError("det_coeff_er ran past the coeff bound")
+            calls.append(b.n)
+            return 0
+
+        monkeypatch.setattr(cli, "det_coeff_er", engine)
+        assert cli.COEFF_MAX_N == 24
+        for n in (cli.COEFF_MAX_N, cli.COEFF_MAX_N + 1, 30):
+            b = ",".join([str(n)] + ["0"] * (n - 1))
+            code, out, err = run(capsys, ["coeff", str(n), b])
+            if n <= cli.COEFF_MAX_N:
+                assert (code, err) == (0, "")
+            else:
+                assert (code, out) == (1, "")
+                assert err.startswith("error: coeff bound exceeded")
+        assert calls == [cli.COEFF_MAX_N]
 
     def test_forced_disagreement_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "sign_epsilon", lambda n: 1)

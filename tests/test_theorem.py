@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from circulant_terms.bricks import enumerate_filling_classes
+from circulant_terms.bricks import class_weight_sum, enumerate_filling_classes
 from circulant_terms.circulant import (
     ExponentVector,
     det_coeff_er,
     permanent_terms,
 )
 from circulant_terms.exactmath import prime_power, valuation
-from circulant_terms.partitions import Partition, partitions_of
+from circulant_terms.partitions import Partition, partitions_of, z_of
 from circulant_terms.theorem import (
     class_contribution,
     contribution_ratio_factors,
@@ -54,6 +54,19 @@ class TestClassContribution:
                                        Partition((3, 2, 1)))[0]
         with pytest.raises(ValueError):
             class_contribution(fc, 2)
+
+    def test_is_the_term_with_the_class_weight(self):
+        # the Egecioglu-Remmel term of lambda with w(lambda, mu) replaced
+        # by the class's share of it, for every class up to n = 6
+        for n in range(1, 7):
+            for ev in permanent_terms(n):
+                mu = ev.mu()
+                for lam in partitions_of(ev.q, divisor_constraint=n):
+                    sign = (-1) ** (mu.k - lam.k)
+                    for fc in enumerate_filling_classes(lam, mu):
+                        assert class_contribution(fc, n) == Fraction(
+                            sign * n ** lam.k * class_weight_sum(fc),
+                            z_of(lam))
 
     def test_totals_match_coefficient(self):
         # summed over all classes of all row shapes, the contributions
