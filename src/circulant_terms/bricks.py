@@ -21,8 +21,8 @@ prime.  _er_term is the one home of the expansion's term, which the
 determinant's partition sum and the class contributions share.
 """
 
-from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, prod
 from random import Random
 
@@ -111,29 +111,27 @@ def _runs(seq):
     return [(value, seq.count(value)) for value in dict.fromkeys(seq)]
 
 
-def _sub_multisets(counts, target):
-    """All sub-multisets of counts ({length: count}) of total mass target,
-    each as a sorted-descending tuple of lengths.  Deterministic order."""
-    sizes = sorted((s for s in counts if counts[s]), reverse=True)
-    suffix_mass = [0] * (len(sizes) + 1)
-    for i in range(len(sizes) - 1, -1, -1):
-        suffix_mass[i] = suffix_mass[i + 1] + sizes[i] * counts[sizes[i]]
+def _row_fills(bricks, target):
+    """(row, rest) for every sub-multiset row of the sorted-descending
+    brick tuple with mass target, rest being the bricks it leaves; both
+    sorted descending, rows in decreasing lexicographic order."""
+    runs = _runs(bricks)
+    starts = [0, *accumulate(count for _, count in runs)]
+    suffix_mass = [sum(bricks[start:]) for start in starts]
     out = []
-    acc = []
 
-    def descend(i, rem):
+    def descend(i, rem, row, rest):
         if rem == 0:
-            out.append(tuple(acc))
+            out.append((row, rest + bricks[starts[i]:]))
             return
-        if i == len(sizes) or suffix_mass[i] < rem:
+        if suffix_mass[i] < rem:
             return
-        s = sizes[i]
-        for a in range(min(counts[s], rem // s), -1, -1):
-            acc.extend([s] * a)
-            descend(i + 1, rem - s * a)
-            del acc[len(acc) - a:]
+        s, count = runs[i]
+        for a in range(min(count, rem // s), -1, -1):
+            descend(i + 1, rem - s * a, row + (s,) * a,
+                    rest + (s,) * (count - a))
 
-    descend(0, target)
+    descend(0, target, (), ())
     return out
 
 
@@ -162,15 +160,9 @@ def _w(rows, bricks):
     val = _W_MEMO.get(key)
     if val is not None:
         return val
-    counts = Counter(bricks)
     total = 0
-    for sub in _sub_multisets(counts, rows[0]):
-        rem = counts.copy()
-        for s in sub:
-            rem[s] -= 1
-        rest = tuple(sorted((s for s, c in rem.items() for _ in range(c)),
-                            reverse=True))
-        total += (_row_weight(rows[0], Counter(sub).values())
+    for row, rest in _row_fills(bricks, rows[0]):
+        total += (_row_weight(rows[0], [m for _, m in _runs(row)])
                   * _w(rows[1:], rest))
     _W_MEMO[key] = total
     return total
@@ -240,36 +232,25 @@ def enumerate_filling_classes(lam, mu):
     """Return every equivalence class of fillings of lambda by mu.
 
     A class is determined by assigning, to each distinct row length, an
-    unordered multiset of per-row brick multisets; enumeration walks row
-    lengths longest first and keeps per-length assignments in
-    non-increasing order so each class appears exactly once.
+    unordered multiset of per-row brick multisets; enumeration walks the
+    rows of lambda longest first, and a row as long as the one before
+    takes no larger brick tuple, so each class appears exactly once.
     """
     if lam.q != mu.q:
         raise ValueError("sizes differ")
-    runs = _runs(lam.parts)
+    rows = lam.parts
     out = []
 
-    def fill_runs(ri, counts, acc_rows):
-        if ri == len(runs):
-            out.append(FillingClass(lam, mu, acc_rows))
+    def fill(j, bricks, acc):
+        if j == len(rows):
+            out.append(FillingClass(lam, mu, acc))
             return
-        length, beta = runs[ri]
+        bound = acc[-1] if j and rows[j] == rows[j - 1] else None
+        for row, rest in _row_fills(bricks, rows[j]):
+            if bound is None or row <= bound:
+                fill(j + 1, rest, acc + [row])
 
-        def fill_rows(j, counts, bound, acc):
-            if j == beta:
-                fill_runs(ri + 1, counts, acc_rows + acc)
-                return
-            for sub in _sub_multisets(counts, length):
-                if bound is not None and sub > bound:
-                    continue
-                rem = counts.copy()
-                for s in sub:
-                    rem[s] -= 1
-                fill_rows(j + 1, rem, sub, acc + [sub])
-
-        fill_rows(0, counts, None, [])
-
-    fill_runs(0, Counter(mu.parts), [])
+    fill(0, mu.parts, [])
     return out
 
 

@@ -73,13 +73,15 @@ def _emit(fieldnames, rows, fmt, out_path):
     else:
         text = json.dumps([{name: row[name] for name in fieldnames}
                            for row in rows], indent=2) + "\n"
-    if out_path:
+    if out_path is not None:
         _write_out(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def _check_destination(path):
+    if not path:
+        raise _OutputError("cannot write '': empty file name")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise _OutputError(f"cannot write {path}: no directory {folder}")

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,12 @@ from oracles import (
     filling_weight_brute,
     sub_multisets,
 )
+from circulant_terms import clear_caches
 from circulant_terms.bricks import (
+    _W_MEMO,
     BrickMultiset,
     FillingClass,
+    _row_fills,
     _row_weight,
     class_weight_sum,
     enumerate_filling_classes,
@@ -226,3 +230,29 @@ class TestOracleHelpers:
         from collections import Counter
         subs = sub_multisets(Counter({2: 1, 1: 2}), 2)
         assert sorted(subs) == [(1, 1), (2,)]
+
+
+class TestRowFills:
+    def test_matches_sub_multisets_oracle(self):
+        for mass in range(9):
+            for mu in partitions_of(mass):
+                bricks = mu.parts
+                for target in range(mass + 1):
+                    fills = _row_fills(bricks, target)
+                    rows = [row for row, _ in fills]
+                    expected = {tuple(sorted(sub, reverse=True))
+                                for sub in sub_multisets(Counter(bricks),
+                                                         target)}
+                    assert set(rows) == expected
+                    for row, rest in fills:
+                        assert row == tuple(sorted(row, reverse=True))
+                        assert rest == tuple(sorted(rest, reverse=True))
+                        assert (Counter(row) + Counter(rest)
+                                == Counter(bricks))
+                    assert all(a > b for a, b in zip(rows, rows[1:]))
+
+    def test_memo_states_of_m2p_8(self):
+        clear_caches()
+        for mu in partitions_of(8):
+            m_to_p_expansion(mu)
+        assert len(_W_MEMO) == 617

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -118,7 +119,7 @@ class TestOut:
         assert not path.parent.exists()
 
     def test_write_failure_exits_1(self, capsys, tmp_path):
-        # the destination is a directory, so the final rename fails
+        # the destination is a directory, so opening it for writing fails
         target = tmp_path / "taken"
         target.mkdir()
         code, _, err = run(capsys, ["table", "--max-n", "2",
@@ -126,6 +127,14 @@ class TestOut:
         assert code == 1
         assert err.startswith("error: cannot write")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_empty_path_exits_1(self, capsys, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("computed before checking --out")
+        monkeypatch.setattr(cli, "d_count", refuse)
+        code, out, err = run(capsys, ["table", "--max-n", "2", "--out", ""])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write")
 
     def test_replaces_existing_file(self, capsys, tmp_path):
         _, direct, _ = run(capsys, ["verify", "4"])
@@ -153,6 +162,24 @@ class TestOut:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert data == "n,d,p,equal\n1,1,1,true\n2,2,2,true\n3,4,4,true\n"
         assert [p.name for p in tmp_path.iterdir()] == ["rows"]
+
+
+class TestStdoutDigests:
+    # SHA-256 of stdout: refactors must leave the output byte-identical
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify 4",
+         "8b7eb7bf009a09fe551f48ecb33fb5b9ffb96fe9e091fa1096ee4fca18211f55"),
+        ("verify 5",
+         "68801f92bf15edc54a679befb311ce0a7f30d566b292b91d23f97e786fac7dd4"),
+        ("verify 7",
+         "0517270c09b549f8575eae6c38b98bca80d59ea78d711642f179f408f26fb8cb"),
+        ("m2p 8",
+         "69ee1995ffe8a3228f3e117d0d3d9ca064896e572e899475cca06cc446fe466b"),
+    ])
+    def test_stdout_is_byte_identical(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCoeff:

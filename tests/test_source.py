@@ -24,3 +24,23 @@ def test_every_imported_name_is_used(path):
                             for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _names_used(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_private_definition_is_referenced():
+    # (module, name or None, names used) for each top-level statement; a
+    # private function or class must be used by a statement not its own
+    statements = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        statements += [(path.name, getattr(stmt, "name", None),
+                        _names_used(stmt)) for stmt in tree.body]
+    unused = [f"{module}:{name}" for module, name, _ in statements
+              if name and name.startswith("_") and not name.startswith("__")
+              and not any(name in used for where, what, used in statements
+                          if (where, what) != (module, name))]
+    assert unused == []
