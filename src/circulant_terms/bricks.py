@@ -26,7 +26,7 @@ from itertools import accumulate
 from math import factorial, prod
 from random import Random
 
-from .partitions import Partition, factorial_of_partition, partitions_of, z_of
+from .partitions import Partition, partitions_of, z_of
 
 
 class BrickMultiset:
@@ -176,10 +176,10 @@ class FillingClass:
     non-increasing lexicographic order.  gamma maps each distinct row
     length to the partition recording multiplicities of identical per-row
     assignments among rows of that length; delta is the concatenation of
-    all gamma parts, a partition of k(lambda).
+    all gamma parts, a partition of k(lambda); both are read off the rows.
     """
 
-    __slots__ = ("lam", "mu", "rows", "r", "gamma", "delta")
+    __slots__ = ("lam", "mu", "rows")
 
     def __init__(self, lam, mu, rows):
         rows = [tuple(sorted(row, reverse=True)) for row in rows]
@@ -187,28 +187,35 @@ class FillingClass:
             raise ValueError("one brick multiset per row required")
         # canonicalize each run of equal-length rows to non-increasing
         # order, which puts identical assignments next to each other
-        gamma = {}
-        delta = []
-        i = 0
-        for length, beta in _runs(lam.parts):
-            run = sorted(rows[i:i + beta], reverse=True)
-            rows[i:i + beta] = run
-            mults = sorted((m for _, m in _runs(run)), reverse=True)
-            gamma[length] = Partition(mults)
-            delta.extend(mults)
-            i += beta
-        rows = tuple(rows)
+        rows = tuple(row for _, row in sorted(zip(lam.parts, rows),
+                                              reverse=True))
         for length, row in zip(lam.parts, rows):
             if sum(row) != length:
                 raise ValueError("row not exactly filled")
         if tuple(sorted((s for row in rows for s in row), reverse=True)) != mu.parts:
             raise ValueError("rows do not use exactly the bricks of mu")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "r", tuple(len(row) for row in rows))
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "delta", Partition(sorted(delta, reverse=True)))
+        self._set(lam, mu, rows)
+
+    def _set(self, lam, mu, rows):
+        # the trusted path, for rows canonical and exact by construction
+        for name, value in zip(self.__slots__, (lam, mu, rows)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def r(self):
+        return tuple(len(row) for row in self.rows)
+
+    @property
+    def gamma(self):
+        blocks = _runs(list(zip(self.lam.parts, self.rows)))
+        return {length: Partition(sorted((m for (i, _), m in blocks
+                                          if i == length), reverse=True))
+                for length in dict.fromkeys(self.lam.parts)}
+
+    @property
+    def delta(self):
+        return Partition(sorted((m for g in self.gamma.values()
+                                 for m in g.parts), reverse=True))
 
     def alpha(self, length, row_index):
         """Number of bricks of the given length in the given row."""
@@ -228,30 +235,38 @@ class FillingClass:
         return f"FillingClass({self.lam.parts}, rows={self.rows})"
 
 
-def enumerate_filling_classes(lam, mu):
-    """Return every equivalence class of fillings of lambda by mu.
+def _class_walk(lam, mu, fills):
+    """Yield (class, class_weight_sum) for each class of fillings of lambda
+    by mu, once and canonical: a row as long as the one before takes no
+    larger brick tuple.  fills, the caller's, memoizes _row_fills pairs
+    per (bricks, target), each with its row's _row_weight."""
+    parts = lam.parts
 
-    A class is determined by assigning, to each distinct row length, an
-    unordered multiset of per-row brick multisets; enumeration walks the
-    rows of lambda longest first, and a row as long as the one before
-    takes no larger brick tuple, so each class appears exactly once.
-    """
+    def descend(j, bricks, rows, weight):
+        if j == len(parts):
+            fc = object.__new__(FillingClass)
+            fc._set(lam, mu, rows)
+            yield fc, _class_weight(parts, rows, weight)
+            return
+        key = bricks, parts[j]
+        if key not in fills:
+            fills[key] = [
+                (row, rest, _row_weight(key[1], [m for _, m in _runs(row)]))
+                for row, rest in _row_fills(*key)]
+        same = j and parts[j] == parts[j - 1]
+        for row, rest, w in fills[key]:
+            if not same or row <= rows[-1]:
+                yield from descend(j + 1, rest, rows + (row,), weight * w)
+
+    return descend(0, mu.parts, (), 1)
+
+
+def enumerate_filling_classes(lam, mu):
+    """Return every equivalence class of fillings of lambda by mu: an
+    unordered multiset of per-row brick multisets for each row length."""
     if lam.q != mu.q:
         raise ValueError("sizes differ")
-    rows = lam.parts
-    out = []
-
-    def fill(j, bricks, acc):
-        if j == len(rows):
-            out.append(FillingClass(lam, mu, acc))
-            return
-        bound = acc[-1] if j and rows[j] == rows[j - 1] else None
-        for row, rest in _row_fills(bricks, rows[j]):
-            if bound is None or row <= bound:
-                fill(j + 1, rest, acc + [row])
-
-    fill(0, mu.parts, [])
-    return out
+    return [fc for fc, _ in _class_walk(lam, mu, {})]
 
 
 def class_weight_sum(fc):
@@ -261,11 +276,24 @@ def class_weight_sum(fc):
     which is prod_i beta_i!/delta(F)!, times prod over rows of
     row_weight_sum; always an integer.
     """
-    val = (prod(factorial(beta) for _, beta in _runs(fc.lam.parts))
-           // factorial_of_partition(fc.delta))
-    for length, row in zip(fc.lam.parts, fc.rows):
-        val *= _row_weight(length, [m for _, m in _runs(row)])
-    return val
+    return _class_weight(fc.lam.parts, fc.rows, prod(
+        _row_weight(length, [m for _, m in _runs(row)])
+        for length, row in zip(fc.lam.parts, fc.rows)))
+
+
+def _class_weight(parts, rows, row_product):
+    # class_weight_sum's closed form for canonical rows, given the product
+    # of their row weights: the row that is the t-th of its length and the
+    # c-th of a block of identical rows brings t/c, so num/den is
+    # prod beta_i!/delta!
+    num = den = t = c = 1
+    for j in range(1, len(parts)):
+        same = parts[j] == parts[j - 1]
+        t = t + 1 if same else 1
+        c = c + 1 if same and rows[j] == rows[j - 1] else 1
+        num *= t
+        den *= c
+    return num * row_product // den
 
 
 def _er_term(mu, lam, weight, n):

@@ -158,11 +158,12 @@ def cmd_coeff(args):
         raise _UsageError("--jobs must be at least 1")
     if args.n > COEFF_MAX_N:
         raise ValueError(f"coeff bound exceeded (n <= {COEFF_MAX_N})")
-    try:
-        entries = [int(tok) for tok in args.b.split(",")]
-    except ValueError:
-        raise _UsageError("b must be comma-separated integers") from None
-    b = ExponentVector(args.n, entries)
+    # int() alone would also take "1_0", "+1" and non-ASCII digits
+    tokens = args.b.split(",")
+    digits = [tok.strip(" ").removeprefix("-") for tok in tokens]
+    if not all(d.isascii() and d.isdigit() for d in digits):
+        raise _UsageError("b must be comma-separated integers")
+    b = ExponentVector(args.n, [int(tok) for tok in tokens])
     if args.method != "er" and args.n > ORACLE_MAX_N:
         raise ValueError("oracle bound exceeded")
     row = {"n": str(args.n), "b": str(b)}

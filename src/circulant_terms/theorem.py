@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .exactmath import multinomial, prime_power, valuation
 from .partitions import factorial_of_partition, partitions_of
-from .bricks import _er_term, class_weight_sum, enumerate_filling_classes
+from .bricks import _class_walk, _er_term, class_weight_sum
 from .circulant import det_coeff_er, hall_admissible
 
 
@@ -147,18 +147,23 @@ def dominance_check(b, n, coefficient=None):
     records = []
     total = Fraction(0)
     passed = True
+    fills = {}
     for lam in partitions_of(q, n):
-        for fc in enumerate_filling_classes(lam, mu):
-            contrib = class_contribution(fc, n)
-            v = valuation(contrib, p)
+        unit = _er_term(mu, lam, 1, n)
+        v_unit = valuation(unit, p)
+        weights = 0
+        for fc, weight in _class_walk(lam, mu, fills):
+            contrib = unit * weight
+            v = v_unit + valuation(weight, p)
             records.append(ClassRecord(lam, fc, contrib, v))
-            total += contrib
+            weights += weight
             if lam.parts == (q,):
                 if contrib != base:
                     raise RuntimeError("base class does not match "
                                        "q_class_contribution")
             elif v <= v_base:
                 passed = False
+        total += unit * weights
     if coefficient is None:
         coefficient = det_coeff_er(b)
     if total != coefficient:

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from circulant_terms.bricks import (
     _W_MEMO,
     BrickMultiset,
     FillingClass,
+    _class_walk,
     _row_fills,
     _row_weight,
     class_weight_sum,
@@ -169,6 +171,33 @@ class TestFillingClasses:
                         sig = class_signature(lam.parts, fc.rows)
                         got[sig] = class_weight_sum(fc)
                     assert got == brute, (lam, mu)
+
+
+class TestClassWalk:
+    def test_weights_are_class_weight_sums(self):
+        # one fills dict per mu, shared across lambdas as dominance_check
+        # shares it
+        for q in range(1, 11):
+            for mu in partitions_of(q):
+                fills = {}
+                for lam in partitions_of(q):
+                    for walked, weight in _class_walk(lam, mu, fills):
+                        fc = FillingClass(lam, mu, walked.rows)
+                        assert fc.rows == walked.rows
+                        assert weight == class_weight_sum(fc), (lam, fc)
+
+    def test_classes_and_order_pinned(self):
+        # SHA-256 of the class rows of every (lambda, mu) with q <= 10,
+        # recorded when every class went through the checked constructor
+        digest = hashlib.sha256()
+        for q in range(1, 11):
+            for lam in partitions_of(q):
+                for mu in partitions_of(q):
+                    digest.update(repr([fc.rows for fc in
+                                        enumerate_filling_classes(lam, mu)])
+                                  .encode())
+        assert digest.hexdigest() == (
+            "7d508289283d81114206012f8fcb00d1aadcd72d582fe4adaa336d251d4448f1")
 
 
 class TestMonomialToPowerSum:

@@ -182,6 +182,23 @@ class TestStdoutDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestDominanceDigests:
+    # SHA-256 of stdout at the prime powers 8 and 9, whose dominance
+    # certificates walk thousands of filling classes
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify 8",
+         "7cc31132297b3ac22cb7cf43a350fad192bf5bf5535dd384bbdc7658e3cbf4b5"),
+        ("verify 8 --format json",
+         "db955f8389a630bf611b79f5871e8dcf346eb929ca5558af928537bd4b0a8bd3"),
+        ("verify 9",
+         "e19979419bd19255f382dcc6d3a327e9b3f73916c71aa2c295959582a3d47e85"),
+    ])
+    def test_stdout_is_byte_identical(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestCoeff:
     def test_er_default(self, capsys):
         code, out, err = run(capsys, ["coeff", "2", "2,0"])
@@ -217,6 +234,23 @@ class TestCoeff:
         code, _, err = run(capsys, ["coeff", "3", "a,b,c"])
         assert code == 1
         assert "comma-separated" in err
+
+    @pytest.mark.parametrize("b", [
+        "1_0,0,0,0,0,0,0,0,0,0", "+1,1,1,1,1,1,1,1,1,1",
+        "\u0661,1,1,1,1,1,1,1,1,1", "1\t,1,1,1,1,1,1,1,1,1",
+        "1,,1,1,1,1,1,1,1,1", "- 1,2,2,1,1,1,1,1,1,1",
+    ])
+    def test_only_ascii_decimal_tokens_accepted(self, capsys, b):
+        # int() takes all of these; the b column would then misquote them
+        assert run(capsys, ["coeff", "10", b]) == (
+            1, "", "b must be comma-separated integers\n")
+
+    def test_spaces_and_minus_sign_parsed(self, capsys):
+        code, out, _ = run(capsys, ["coeff", "3", " 1, 1 ,1 "])
+        assert (code, out.splitlines()[1]) == (0, '3,"1,1,1",-3')
+        code, out, err = run(capsys, ["coeff", "3", " -1,2,2"])
+        assert (code, out) == (1, "")
+        assert "exponents must be non-negative" in err
 
     def test_wrong_length_rejected(self, capsys):
         code, _, err = run(capsys, ["coeff", "3", "1,2"])

@@ -44,3 +44,43 @@ def test_every_private_definition_is_referenced():
               and not any(name in used for where, what, used in statements
                           if (where, what) != (module, name))]
     assert unused == []
+
+
+def _container_names(tree):
+    # module-level private names bound to a dict, list or set
+    containers = (ast.Dict, ast.List, ast.Set,
+                  ast.DictComp, ast.ListComp, ast.SetComp)
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign):
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if isinstance(value, containers) or (
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Name)
+                and value.func.id in ("dict", "list", "set")):
+            names.update(t.id for t in targets if isinstance(t, ast.Name)
+                         and t.id.startswith("_")
+                         and not t.id.startswith("__"))
+    return names
+
+
+def test_every_module_container_is_cleared():
+    # a process-wide memo must be visible to clear_caches(); one it
+    # misses grows for the life of the process
+    held, cleared = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        held |= _container_names(tree)
+        for stmt in tree.body:
+            if (isinstance(stmt, ast.FunctionDef)
+                    and stmt.name == "clear_caches"):
+                cleared |= {node.func.value.id for node in ast.walk(stmt)
+                            if isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "clear"
+                            and isinstance(node.func.value, ast.Name)}
+    assert held and sorted(held - cleared) == []

@@ -2,7 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from circulant_terms.bricks import class_weight_sum, enumerate_filling_classes
+from circulant_terms.bricks import (
+    FillingClass,
+    class_weight_sum,
+    enumerate_filling_classes,
+)
 from circulant_terms.circulant import (
     ExponentVector,
     det_coeff_er,
@@ -168,6 +172,23 @@ class TestDominanceCheck:
         for n in (2, 3, 4, 5):
             for ev in permanent_terms(n):
                 assert dominance_check(ev, n).passed, ev.b
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8])
+    def test_records_match_the_public_route(self, n):
+        # the class walk builds each class without checks and takes its
+        # contribution and valuation from integer weights; the checked
+        # constructor and class_contribution must give the same
+        p, _ = prime_power(n)
+        for ev in permanent_terms(n):
+            mu = ev.mu()
+            for rec in dominance_check(ev, n).class_records:
+                walked = rec.filling_class
+                fc = FillingClass(rec.lam, mu, walked.rows)
+                assert fc == walked and fc.rows == walked.rows
+                assert (fc.r, fc.gamma, fc.delta) == \
+                    (walked.r, walked.gamma, walked.delta)
+                assert class_contribution(fc, n) == rec.contribution
+                assert valuation(rec.contribution, p) == rec.valuation
 
     def test_valuations_use_the_right_prime(self):
         report = dominance_check(ExponentVector(9, (9,) + (0,) * 8), 9)
