@@ -8,7 +8,8 @@ summing subscripts, sufficient by a matching argument); p(n) counts the
 admissible b, d(n) counts those whose determinant coefficient is
 nonzero.
 
-Determinant coefficients come from three independent routes:
+Determinant coefficients come from three independent routes: the
+oracle, and the partition sum by the engine and term by term.
 
 * det_coeff_oracle: expand det(A) as a signed sum over permutations
   and read off the coefficient.  Only the (n-1)! permutations with
@@ -34,14 +35,13 @@ Determinant coefficients come from three independent routes:
   _Engine), det_coeff_er_terms exposes the literal per-lambda breakdown,
   and the test suite pins the two to each other and to the oracle.
 
-* det_table: every coefficient of one n at once.  The eigenvalue
-  product is the elementary symmetric function e_n(c), and Newton's
-  identities build it from the power sums p_j(c), which are n times the
-  part of (x_1+...+x_n)^j of weighted degree 0 mod n.  No permutation,
-  brick or root of unity is involved.  This is the route behind d(n)
-  and the `table`/`verify` subcommands, while det_coeff_er answers
-  single queries (`coeff`) and spot-checks a seeded sample of every
-  table.
+* det_table: every coefficient of one n at once.  Under the maps
+  x_j -> x_(u*j+c), u a unit mod n, a coefficient changes only by the
+  sign (-1)^(c(n-1)), so det_coeff_er runs once per orbit, on its
+  lexicographically first term.  A seeded sample of every table is
+  recomputed by the literal per-partition sum, which shares no code
+  with the engine.  It is behind d(n) and the `table`/`verify`
+  subcommands; det_coeff_er alone answers single queries (`coeff`).
 
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
@@ -52,8 +52,8 @@ for any n; only |coefficients| matter for d(n).
 
 import random
 from itertools import combinations
-from math import comb, factorial, prod
-from operator import mul
+from math import comb, factorial, gcd
+from operator import itemgetter
 
 from .exactmath import euler_phi, divisors
 from .partitions import Partition, partitions_of
@@ -79,6 +79,14 @@ class ExponentVector:
             raise ValueError("exponents must sum to n")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def _trusted(cls, n, b):
+        # for tuples valid by construction: no copy and no checks
+        ev = object.__new__(cls)
+        object.__setattr__(ev, "n", n)
+        object.__setattr__(ev, "b", b)
+        return ev
 
     @property
     def q(self):
@@ -187,7 +195,7 @@ def permanent_terms(n):
     """All admissible ExponentVectors in lexicographic order; |result| = p(n)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return [ExponentVector(n, b) for b in _residue_walk(n, n)]
+    return [ExponentVector._trusted(n, b) for b in _residue_walk(n, n)]
 
 
 def p_count(n, method="formula"):
@@ -576,9 +584,9 @@ def det_coeff_er_terms(b):
 
 
 # ---------------------------------------------------------------------------
-# Newton route: every coefficient of one n at once
+# orbit route: every coefficient of one n from one engine query per orbit
 
-# terms of each det_table checked against det_coeff_er
+# terms of each det_table checked against the literal per-partition sum
 SPOT_CHECKS = 8
 
 
@@ -586,81 +594,64 @@ class RouteDisagreement(RuntimeError):
     """Two coefficient routes gave different values for the same term."""
 
 
-def _signed_power_sum(n, j):
-    """(-1)^(j-1) * p_j(c_1..c_n) as {packed key: coefficient}.
-
-    p_j(c) = sum_k (sum_i x_i xi^(ik))^j keeps exactly the monomials x^a
-    of (x_1+...+x_n)^j with sum(i*a_i) = 0 (mod n), each n times its
-    multinomial coefficient j!/prod(a_i!).  Keys pack a in base n+1
-    with a_1 the most significant digit, so the dict is in
-    lexicographic order of a."""
-    fact = [factorial(i) for i in range(j + 1)]
-    place = [(n + 1) ** (n - 1 - i) for i in range(n)]
-    top = n * fact[j] if j % 2 else -n * fact[j]
-    return {sum(map(mul, a, place)): top // prod(map(fact.__getitem__, a))
-            for a in _residue_walk(n, j)}
-
-
-def _eigenvalue_product(n):
-    """e_n(c_1..c_n) = prod(c_k) as {packed key: coefficient}, with a
-    key for every admissible b, zeros included, in lexicographic order.
-
-    Newton's identities m*e_m = sum_{j=1..m} (-1)^(j-1) p_j e_(m-j)
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.2) build
-    e_n from the power sums.  All their monomials have weighted degree
-    0 mod n, so every product lands on a key of p_m, which each step's
-    accumulator starts from: the keys never change after that, and at
-    m = n the accumulator, divided by n, is the table."""
-    p = [None]
-    e = [{0: 1}]
-    for m in range(1, n + 1):
-        acc = _signed_power_sum(n, m)
-        if m < n:
-            p.append(acc)
-            acc = dict(acc)
-        for j in range(1, m):
-            small, large = p[j], e[m - j]
-            if len(small) > len(large):
-                small, large = large, small
-            for ka, va in small.items():
-                for kb, vb in large.items():
-                    acc[ka + kb] += va * vb
-        for key, val in acc.items():
-            quo, rem = divmod(val, m)
-            if rem:
-                raise RuntimeError("Newton's identities gave a non-integer")
-            acc[key] = quo
-        if m < n:
-            e.append({key: val for key, val in acc.items() if val})
-    return acc
+def _affine_images(n):
+    """(image, negate) for each map x_j -> x_(u*j+c), u a unit mod n,
+    other than the identity: image(b) is the exponent tuple of x^b after
+    the substitution, and negate tells whether its coefficient is minus
+    that of x^b.  The multiplier u only permutes the eigenvalues c_k and
+    the shift c multiplies each c_k by xi^(-ck), so their product picks
+    up xi^(-c*n(n-1)/2) = (-1)^(c(n-1))."""
+    identity = list(range(n))
+    images = []
+    for u in range(n):
+        if gcd(u, n) != 1:
+            continue
+        for c in range(n):
+            # position i holds the exponent of x_(i+1)
+            source = [0] * n
+            for i in range(n):
+                source[(u * (i + 1) + c - 1) % n] = i
+            if source != identity:
+                images.append((itemgetter(*source), c * (n - 1) % 2 == 1))
+    return images
 
 
 def det_table(n):
     """det_coeff_er(b) for every admissible b of size n, zeros included,
     as a list aligned with permanent_terms(n).
 
-    Computed as one polynomial by Newton's identities, with no
-    permutations, bricks or roots of unity; SPOT_CHECKS terms drawn with
-    random.Random(n) are then recomputed by det_coeff_er, and a
+    One pass in lexicographic order asks det_coeff_er only for the first
+    term of each affine orbit and gives its images their signed values.
+    SPOT_CHECKS terms drawn with random.Random(n) are then recomputed by
+    the literal per-partition sum of det_coeff_er_terms, and a
     difference raises RouteDisagreement naming n and b."""
     if n < 1:
         raise ValueError("n must be positive")
-    product = _eigenvalue_product(n)
-    keys = list(product)
-    table = list(product.values())
-    for i in random.Random(n).sample(range(len(table)),
-                                     min(SPOT_CHECKS, len(table))):
-        digits = []
-        key = keys[i]
-        for _ in range(n):
-            key, x = divmod(key, n + 1)
-            digits.append(x)
-        b = ExponentVector(n, reversed(digits))
-        er = det_coeff_er(b)
-        if er != table[i]:
+    size = p_count(n)
+    spots = random.Random(n).sample(range(size), min(SPOT_CHECKS, size))
+    picked = dict.fromkeys(spots)
+    images = _affine_images(n)
+    values = []     # det_coeff_er of each representative, in order found
+    codes = []      # per term: its representative's index r, or ~r if negated
+    pending = {}    # unreached images of the representatives: term -> code
+    for i, b in enumerate(_residue_walk(n, n)):
+        code = pending.pop(b, None)
+        if code is None:
+            code = len(values)
+            values.append(det_coeff_er(ExponentVector._trusted(n, b)))
+            for image, negate in images:
+                pending[image(b)] = ~code if negate else code
+        codes.append(code)
+        if i in picked:
+            picked[i] = b
+    table = [values[k] if k >= 0 else -values[~k] for k in codes]
+    for i in spots:
+        b = ExponentVector(n, picked[i])
+        literal = sum(det_coeff_er_terms(b).values())
+        if literal != table[i]:
             raise RouteDisagreement(
-                f"n={n} b={b}: {table[i]} by Newton's identities but "
-                f"{er} by det_coeff_er")
+                f"n={n} b={b}: {table[i]} by the orbit route but "
+                f"{literal} by the per-partition sum")
     return table
 
 

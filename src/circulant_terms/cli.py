@@ -56,6 +56,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
+def _integer(text):
+    """int(text) for ASCII decimal digits with an optional leading minus
+    sign and surrounding spaces; int() alone would also take "1_0", "+1"
+    and non-ASCII digits."""
+    digits = text.strip(" ").removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _fraction_str(value):
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
@@ -158,12 +168,11 @@ def cmd_coeff(args):
         raise _UsageError("--jobs must be at least 1")
     if args.n > COEFF_MAX_N:
         raise ValueError(f"coeff bound exceeded (n <= {COEFF_MAX_N})")
-    # int() alone would also take "1_0", "+1" and non-ASCII digits
-    tokens = args.b.split(",")
-    digits = [tok.strip(" ").removeprefix("-") for tok in tokens]
-    if not all(d.isascii() and d.isdigit() for d in digits):
-        raise _UsageError("b must be comma-separated integers")
-    b = ExponentVector(args.n, [int(tok) for tok in tokens])
+    try:
+        exponents = [_integer(tok) for tok in args.b.split(",")]
+    except argparse.ArgumentTypeError:
+        raise _UsageError("b must be comma-separated integers") from None
+    b = ExponentVector(args.n, exponents)
     if args.method != "er" and args.n > ORACLE_MAX_N:
         raise ValueError("oracle bound exceeded")
     row = {"n": str(args.n), "b": str(b)}
@@ -273,35 +282,35 @@ def _build_parser():
 
     p_table = sub.add_parser("table", parents=[common],
                              help="term counts d(n), p(n) for n = 1..max-n")
-    p_table.add_argument("--max-n", type=int, default=8, dest="max_n")
-    p_table.add_argument("--oracle-max", type=int, default=8,
+    p_table.add_argument("--max-n", type=_integer, default=8, dest="max_n")
+    p_table.add_argument("--oracle-max", type=_integer, default=8,
                          dest="oracle_max",
                          help="cross-check d against the expansion oracle "
                               "for n up to this bound (default 8)")
-    p_table.add_argument("--jobs", type=int, default=1,
+    p_table.add_argument("--jobs", type=_integer, default=1,
                          help="worker processes for oracle sweeps")
     p_table.set_defaults(func=cmd_table)
 
     p_coeff = sub.add_parser("coeff", parents=[common],
                              help="coefficient of x^b in det(A)")
-    p_coeff.add_argument("n", type=int)
+    p_coeff.add_argument("n", type=_integer)
     p_coeff.add_argument("b", help="comma-separated exponents, e.g. 1,1,1")
     p_coeff.add_argument("--method", choices=("er", "oracle", "both"),
                          default="er")
-    p_coeff.add_argument("--jobs", type=int, default=1,
+    p_coeff.add_argument("--jobs", type=_integer, default=1,
                          help="worker processes for the oracle sweep")
     p_coeff.set_defaults(func=cmd_coeff)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="certify non-cancellation (prime powers) "
                                    "or list vanishing coefficients")
-    p_verify.add_argument("n", type=int)
+    p_verify.add_argument("n", type=_integer)
     p_verify.set_defaults(func=cmd_verify)
 
     p_m2p = sub.add_parser("m2p", parents=[common],
                            help="monomial-to-power-sum transition matrix "
                                 "for degree q")
-    p_m2p.add_argument("q", type=int)
+    p_m2p.add_argument("q", type=_integer)
     p_m2p.set_defaults(func=cmd_m2p)
     return parser
 

@@ -6,6 +6,10 @@ forms and recursions are checked against these on small inputs.
 
 from collections import Counter
 from itertools import permutations
+from math import factorial, gcd, prod
+from operator import mul
+
+from circulant_terms.circulant import _residue_walk
 
 
 def weak_compositions(total, k):
@@ -36,6 +40,34 @@ def random_admissible(rng, n):
                   for lo, hi in zip([-1] + cuts, cuts + [2 * n - 1]))
         if sum(i * x for i, x in enumerate(b, 1)) % n == 0:
             return b
+
+
+def affine_maps(n):
+    """Every pair (u, c) with u a unit mod n and 0 <= c < n: the n*phi(n)
+    substitutions x_j -> x_(u*j+c), subscripts mod n."""
+    return [(u, c) for u in range(n) if gcd(u, n) == 1 for c in range(n)]
+
+
+def affine_image(b, u, c):
+    """The exponent tuple of x^b after x_j -> x_(u*j+c): the exponent of
+    x_j moves to x_(u*j+c), subscripts taken mod n in {1..n}."""
+    n = len(b)
+    image = [0] * n
+    for j, x in enumerate(b, 1):
+        image[(u * j + c - 1) % n] = x
+    return tuple(image)
+
+
+def affine_orbits(n):
+    """The admissible terms of size n grouped into orbits of the maps
+    x_j -> x_(u*j+c), each orbit a sorted list, by lexicographically
+    smallest member."""
+    maps = affine_maps(n)
+    orbits = {}
+    for b in admissible_by_filter(n, n):
+        rep = min(affine_image(b, u, c) for u, c in maps)
+        orbits.setdefault(rep, []).append(b)
+    return [orbits[rep] for rep in sorted(orbits)]
 
 
 def arrangements(bricks):
@@ -119,3 +151,60 @@ def classes_brute(lam_parts, mu_parts):
         sig = class_signature(lam_parts, filling)
         out[sig] = out.get(sig, 0) + w
     return out
+
+
+def signed_power_sum(n, j):
+    """(-1)^(j-1) * p_j(c_1..c_n) as {packed key: coefficient}.
+
+    p_j(c) = sum_k (sum_i x_i xi^(ik))^j keeps exactly the monomials x^a
+    of (x_1+...+x_n)^j with sum(i*a_i) = 0 (mod n), each n times its
+    multinomial coefficient j!/prod(a_i!).  Keys pack a in base n+1
+    with a_1 the most significant digit, so the dict is in
+    lexicographic order of a."""
+    fact = [factorial(i) for i in range(j + 1)]
+    place = [(n + 1) ** (n - 1 - i) for i in range(n)]
+    top = n * fact[j] if j % 2 else -n * fact[j]
+    return {sum(map(mul, a, place)): top // prod(map(fact.__getitem__, a))
+            for a in _residue_walk(n, j)}
+
+
+def eigenvalue_product(n):
+    """e_n(c_1..c_n) = prod(c_k) as {packed key: coefficient}, with a
+    key for every admissible b, zeros included, in lexicographic order.
+
+    Newton's identities m*e_m = sum_{j=1..m} (-1)^(j-1) p_j e_(m-j)
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.2) build
+    e_n from the power sums, with no permutation, brick or root of
+    unity.  All their monomials have weighted degree 0 mod n, so every
+    product lands on a key of p_m, which each step's accumulator starts
+    from: the keys never change after that, and at m = n the
+    accumulator, divided by n, is the table."""
+    p = [None]
+    e = [{0: 1}]
+    for m in range(1, n + 1):
+        acc = signed_power_sum(n, m)
+        if m < n:
+            p.append(acc)
+            acc = dict(acc)
+        for j in range(1, m):
+            small, large = p[j], e[m - j]
+            if len(small) > len(large):
+                small, large = large, small
+            for ka, va in small.items():
+                for kb, vb in large.items():
+                    acc[ka + kb] += va * vb
+        for key, val in acc.items():
+            quo, rem = divmod(val, m)
+            if rem:
+                raise RuntimeError("Newton's identities gave a non-integer")
+            acc[key] = quo
+        if m < n:
+            e.append({key: val for key, val in acc.items() if val})
+    return acc
+
+
+def newton_table(n):
+    """Every coefficient of prod(c_k) for one n, zeros included, in the
+    lexicographic order of permanent_terms(n): the whole-table route
+    that det_table is pinned against."""
+    return list(eigenvalue_product(n).values())

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import admissible_by_filter, random_admissible
+from oracles import (admissible_by_filter, affine_image, affine_maps,
+                     affine_orbits, newton_table, random_admissible)
 import circulant_terms.bricks as bricks
 import circulant_terms.circulant as circ
 from circulant_terms.circulant import (
@@ -331,6 +332,81 @@ class TestDetTable:
         monkeypatch.setattr(circ, "det_coeff_er", lambda b: 10 ** 6)
         with pytest.raises(RouteDisagreement, match=r"n=5 b=\d"):
             det_table(5)
+
+
+# affine orbits of the admissible terms of n = 1..12
+ORBIT_COUNTS = [1, 1, 2, 3, 4, 12, 12, 49, 70, 268, 320, 2806]
+
+
+class TestOrbitRoute:
+    def test_sign_rule_on_every_term_and_map(self):
+        for n in range(1, 10):
+            coeff = dict(zip((ev.b for ev in permanent_terms(n)),
+                             newton_table(n)))
+            for b, value in coeff.items():
+                for u, c in affine_maps(n):
+                    assert coeff[affine_image(b, u, c)] == \
+                        (-1) ** (c * (n - 1)) * value, (n, b, u, c)
+
+    def test_maps_are_every_affine_substitution(self):
+        for n in range(1, 10):
+            images = circ._affine_images(n)
+            assert len(images) == len(affine_maps(n)) - 1
+            for ev in permanent_terms(n):
+                found = {(image(ev.b), negate) for image, negate in images}
+                expected = {(affine_image(ev.b, u, c), c * (n - 1) % 2 == 1)
+                            for u, c in affine_maps(n)}
+                assert found | {(ev.b, False)} == expected, (n, ev.b)
+
+    def test_orbit_sizes_sum_to_p(self):
+        for n in range(1, 10):
+            orbits = affine_orbits(n)
+            assert sum(map(len, orbits)) == p_count(n)
+            assert len(orbits) == ORBIT_COUNTS[n - 1]
+
+    def test_one_engine_query_per_orbit(self, monkeypatch):
+        queried = []
+
+        def spy(b):
+            queried.append(b.b)
+            return det_coeff_er(b)
+
+        monkeypatch.setattr(circ, "det_coeff_er", spy)
+        for n in range(1, 13):
+            queried.clear()
+            det_table(n)
+            assert len(queried) == ORBIT_COUNTS[n - 1], n
+            if n < 10:
+                # each orbit's first term in lexicographic order
+                assert queried == [orbit[0] for orbit in affine_orbits(n)]
+
+    def test_matches_newton_oracle(self):
+        for n in range(1, 12):
+            assert det_table(n) == newton_table(n), n
+
+    def test_spot_checks_keep_their_positions(self, monkeypatch):
+        checked = []
+
+        def spy(b):
+            checked.append(b.b)
+            return det_coeff_er_terms(b)
+
+        monkeypatch.setattr(circ, "det_coeff_er_terms", spy)
+        for n in (1, 4, 9):
+            checked.clear()
+            det_table(n)
+            terms = permanent_terms(n)
+            spots = random.Random(n).sample(range(len(terms)),
+                                            min(circ.SPOT_CHECKS, len(terms)))
+            assert checked == [terms[i].b for i in spots]
+
+    @pytest.mark.parametrize("n", [4, 7, 8])
+    def test_wrong_sign_caught(self, monkeypatch, n):
+        images = circ._affine_images
+        monkeypatch.setattr(circ, "_affine_images", lambda n: [
+            (image, not negate) for image, negate in images(n)])
+        with pytest.raises(RouteDisagreement, match=rf"n={n} b=\d"):
+            det_table(n)
 
 
 class TestSignEpsilon:

@@ -199,6 +199,24 @@ class TestDominanceDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestOrbitDigests:
+    # SHA-256 of stdout recorded before det_table ran one engine query
+    # per affine orbit; these runs list every vanishing coefficient of
+    # n = 10 and 12, so they check every sign the orbit route assigns
+    @pytest.mark.parametrize("argv, digest", [
+        ("verify 10",
+         "710dd98279030217a536742888525a7b4cd1224325d86a110a02c0f53f3cfdc2"),
+        ("verify 12",
+         "48d2e5751b808d71bf0ee2ae0c98eeda94c78f481afefbd2e68272d9a5821e74"),
+        ("table --max-n 12 --jobs 1",
+         "2328b991be423f5e2406467b3f45d3ee745f58a3e70c420c5aaee06a26ec8be1"),
+    ])
+    def test_stdout_is_byte_identical(self, capsys, argv, digest):
+        code, out, _ = run(capsys, argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestCoeff:
     def test_er_default(self, capsys):
         code, out, err = run(capsys, ["coeff", "2", "2,0"])
@@ -397,6 +415,29 @@ class TestParser:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, ["table", "--wat"])[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["coeff", "\u0663", "1,1,1"],
+        ["coeff", "3", "1,1,1", "--jobs", "+1"],
+        ["table", "--max-n", "0_3"],
+        ["table", "--max-n", "3", "--oracle-max", "\uff13"],
+        ["table", "--max-n", "2", "--jobs", "1_0"],
+        ["verify", "\u0664"],
+        ["m2p", "4\t"],
+    ])
+    def test_only_ascii_decimal_integers_accepted(self, capsys, argv):
+        # int() takes all of these
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert "not a decimal integer" in err
+
+    def test_spaces_and_minus_sign_in_integers(self, capsys):
+        assert run(capsys, ["table", "--max-n", " 3 "]) == \
+            run(capsys, ["table", "--max-n", "3"])
+        code, out, err = run(capsys, ["table", "--max-n", "3",
+                                      "--oracle-max", " -1"])
+        assert (code, out) == (1, "")
+        assert "--oracle-max must be at least 0" in err
 
     def test_internal_error_exits_2(self, capsys, monkeypatch):
         def boom(n, method="formula"):
