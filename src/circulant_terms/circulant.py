@@ -71,6 +71,11 @@ class ExponentVector:
 
     def __init__(self, n, b):
         b = tuple(b)
+        # not float or bool: they print as such and break exact arithmetic
+        if type(n) is not int or any(type(x) is not int for x in b):
+            raise ValueError("n and the exponents must be integers")
+        if n < 1:
+            raise ValueError("n must be positive")
         if len(b) != n:
             raise ValueError("b must have exactly n entries")
         if any(x < 0 for x in b):
@@ -400,7 +405,7 @@ def expand_det(n, jobs=1):
         for c in range(n):
             shifted = key[n - c:] + key[:n - c]
             raw[shifted] = raw.get(shifted, 0) + (-1) ** (c * (n - 1)) * coeff
-    entries = {ExponentVector(n, key): coeff
+    entries = {ExponentVector._trusted(n, key): coeff
                for key, coeff in sorted(raw.items()) if coeff}
     table = TermTable(n, entries)
     _EXPAND_CACHE[n] = table
@@ -430,12 +435,13 @@ class _Engine:
     across all b of a given n: multisets of bricks are encoded as packed
     base-(n+1) integers so removing a block is a subtraction.
 
-    Each state's block walk visits only the brick lengths it holds, and
-    enters a branch only if a per-state bitmask says the bricks still to
-    choose, length-1 bricks included, can bring the block's length-sum
-    to 0 mod n.  Every branch dropped would have ended in a length-1
-    loop that never runs, so the memoized states, and the order h visits
-    them in, are those of the full walk.
+    One brick of the largest length is taken out as the block's anchor,
+    then one walk picks how many bricks of each occupied length above 1
+    join it, largest first, and the leaf forces the length-1 count mod n.
+    It enters a branch only if a per-state bitmask says the bricks still
+    to choose can bring the block's length-sum to 0 mod n; each branch
+    dropped would have ended in a length-1 loop that never runs, so the
+    memoized states, and their order, are those of the full walk.
     """
 
     def __init__(self, n):
@@ -477,63 +483,50 @@ class _Engine:
             rest, c = divmod(rest, n + 1)
             counts.append(c)
         top = max(i for i in range(n) if counts[i])
+        # one brick of the largest length anchors the block
+        counts[top] -= 1
         c1 = counts[0]
         powers = self.powers
         block_weight = self.block_weight
         h = self.h
+        lengths = [i for i in range(top, 0, -1) if counts[i]]
+        depth = len(lengths)
+        full = (1 << n) - 1
+        # reach[k]: bitmask of the residues mod n that lengths[k:] and the
+        # length-1 bricks can still add to the block; the root's is unread
+        reach = [0] * depth + [(1 << min(c1 + 1, n)) - 1]
+        for k in range(depth - 1, 0, -1):
+            size = lengths[k] + 1
+            m = reach[k + 1]
+            mask = 0
+            for a in range(counts[lengths[k]] + 1):
+                t = size * a % n
+                mask |= ((m << t) | (m >> (n - t))) & full
+            reach[k] = mask
         acc = 0
-        if top == 0:
-            # only bricks of length 1: a block is a multiple of n of them
-            a = n
-            while a <= c1:
-                acc += comb(c1 - 1, a - 1) * block_weight[a] * h(key - a)
-                a += n
-        else:
-            # one length-(top+1) brick is distinguished and anchors the
-            # block; the occupied lengths below it choose freely, largest
-            # first, and the length-1 count is forced mod n at the leaf
-            lengths = [i for i in range(top - 1, 0, -1) if counts[i]]
-            depth = len(lengths)
-            full = (1 << n) - 1
-            # reach[k]: bitmask of the residues mod n that lengths[k:]
-            # and the length-1 bricks can still add to the block
-            reach = [0] * depth + [(1 << min(c1 + 1, n)) - 1]
-            for k in range(depth - 1, -1, -1):
-                size = lengths[k] + 1
-                m = reach[k + 1]
-                mask = 0
-                for a in range(counts[lengths[k]] + 1):
-                    t = size * a % n
-                    mask |= ((m << t) | (m >> (n - t))) & full
-                reach[k] = mask
 
-            def descend(k, s, tkey, r, ways):
-                nonlocal acc
-                if k == depth:
-                    a = (-s) % n
-                    remkey = key - tkey
-                    while a <= c1:
-                        w = ways * comb(c1, a) * block_weight[r + a]
-                        acc += w * h(remkey - a)
-                        a += n
-                    return
-                i = lengths[k]
-                ci = counts[i]
-                size = i + 1
-                step = powers[i]
-                below = reach[k + 1]
-                for a in range(ci + 1):
-                    t = s + size * a
-                    if below >> (-t % n) & 1:
-                        descend(k + 1, t, tkey + step * a, r + a,
-                                ways * comb(ci, a))
+        def descend(k, s, tkey, r, ways):
+            nonlocal acc
+            if k == depth:
+                a = (-s) % n
+                remkey = key - tkey
+                while a <= c1:
+                    w = ways * comb(c1, a) * block_weight[r + a]
+                    acc += w * h(remkey - a)
+                    a += n
+                return
+            i = lengths[k]
+            ci = counts[i]
+            size = i + 1
+            step = powers[i]
+            below = reach[k + 1]
+            for a in range(ci + 1):
+                t = s + size * a
+                if below >> (-t % n) & 1:
+                    descend(k + 1, t, tkey + step * a, r + a,
+                            ways * comb(ci, a))
 
-            ct = counts[top]
-            size = top + 1
-            step = powers[top]
-            for a in range(1, ct + 1):
-                if reach[0] >> (-size * a % n) & 1:
-                    descend(0, size * a, step * a, a, comb(ct - 1, a - 1))
+        descend(0, top + 1, powers[top], 1, 1)
         self.memo[key] = acc
         return acc
 

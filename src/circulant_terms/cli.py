@@ -55,6 +55,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
 
+    def _parse_optional(self, arg_string):
+        # no option starts with a digit: -1,2,2 is a value, not an option
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _integer(text):
     """int(text) for ASCII decimal digits with an optional leading minus
@@ -131,8 +137,8 @@ def _write_atomically(path, text):
 def cmd_table(args):
     """Rows (n, d(n), p(n), equal) for n = 1..max_n, with the d column
     cross-checked against the expansion oracle for n <= --oracle-max."""
-    if not 1 <= args.max_n <= 12:
-        raise _UsageError("--max-n must be between 1 and 12")
+    if not 1 <= args.max_n <= VERIFY_MAX_N:
+        raise _UsageError(f"--max-n must be between 1 and {VERIFY_MAX_N}")
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
     if args.oracle_max < 0:

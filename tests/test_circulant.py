@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import random
 from fractions import Fraction
@@ -50,6 +51,22 @@ class TestExponentVector:
             ExponentVector(3, (2, 2, 0))
         with pytest.raises(ValueError):
             ExponentVector(3, (4, -1, 0))
+
+    @pytest.mark.parametrize("n, b", [
+        (2, (2.0, 0.0)), (2, (1, 1.0)), (3, (True, True, True)),
+        (2, (False, 2)), (2.0, (1, 1)), (True, (1,)),
+    ])
+    def test_float_and_bool_rejected(self, n, b):
+        # 2.0 == 2 and True == 1, but neither is an int: they would print
+        # as themselves and reach the engine's integer arithmetic
+        with pytest.raises(ValueError, match="must be integers"):
+            ExponentVector(n, b)
+
+    def test_nonpositive_n_rejected(self):
+        # n = 0 with an empty b would reach a division by n
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be positive"):
+                ExponentVector(n, ())
 
     def test_hashable(self):
         assert len({ExponentVector(2, (2, 0)), ExponentVector(2, (2, 0))}) == 1
@@ -295,6 +312,28 @@ class TestEngineBeyondOracle:
             circ._ENGINES.pop(n, None)
             det_coeff_er(ExponentVector(n, b))
             assert len(circ._ENGINES[n].memo) == states, n
+
+
+class TestEngineMemo:
+    def test_memo_digest_pinned(self):
+        # every memoized state, in insertion order, with its value: after
+        # two cold queries per n drawn by random_admissible with
+        # random.Random("engine-memo"), then after det_table(n) for n <= 10
+        # on a fresh engine; recorded when the anchor brick still had a
+        # loop of its own outside the block walk
+        digest = hashlib.sha256()
+        rng = random.Random("engine-memo")
+        for n in range(1, 20):
+            circ._ENGINES.pop(n, None)
+            for _ in range(2):
+                det_coeff_er(ExponentVector(n, random_admissible(rng, n)))
+            digest.update(repr(list(circ._ENGINES[n].memo.items())).encode())
+        for n in range(1, 11):
+            circ._ENGINES.pop(n, None)
+            det_table(n)
+            digest.update(repr(list(circ._ENGINES[n].memo.items())).encode())
+        assert digest.hexdigest() == (
+            "1a5153fbe3a5459360b914dcb785c5a8536b59ec4c4686d4477baab5b8554626")
 
 
 class TestDCount:

@@ -270,6 +270,17 @@ class TestCoeff:
         assert (code, out) == (1, "")
         assert "exponents must be non-negative" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["coeff", "3", "-1,2,2"],
+        ["coeff", "3", "-1,2,2", "--method", "both"],
+        ["coeff", "--method", "oracle", "3", "-1,2,2"],
+    ])
+    def test_leading_minus_reaches_exponent_check(self, capsys, argv):
+        # argparse alone takes -1,2,2 for an unknown option and reports
+        # b as missing
+        assert run(capsys, argv) == (
+            1, "", "error: exponents must be non-negative\n")
+
     def test_wrong_length_rejected(self, capsys):
         code, _, err = run(capsys, ["coeff", "3", "1,2"])
         assert code == 1
@@ -438,6 +449,11 @@ class TestParser:
                                       "--oracle-max", " -1"])
         assert (code, out) == (1, "")
         assert "--oracle-max must be at least 0" in err
+
+    def test_minus_digit_token_is_a_value(self, capsys):
+        code, out, err = run(capsys, ["table", "--max-n", "-3x"])
+        assert (code, out) == (1, "")
+        assert "not a decimal integer: '-3x'" in err
 
     def test_internal_error_exits_2(self, capsys, monkeypatch):
         def boom(n, method="formula"):

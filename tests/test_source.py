@@ -84,3 +84,48 @@ def test_every_module_container_is_cleared():
                             and node.func.attr == "clear"
                             and isinstance(node.func.value, ast.Name)}
     assert held and sorted(held - cleared) == []
+
+
+# the math functions that take and return integers only
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def _float_sources(tree):
+    """(line, what) for each construct that can make a float: true
+    division, a float or complex literal, the names float and round, and
+    math beyond its integer functions (so `import math` as a whole)."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Div)):
+            found.append((node.lineno, "/"))
+        elif (isinstance(node, ast.Constant)
+              and isinstance(node.value, (float, complex))):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id in ("float", "round"):
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, f"math.{alias.name}")
+                      for alias in node.names
+                      if alias.name not in INTEGER_MATH]
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, "import math") for alias in node.names
+                      if alias.name == "math"]
+    return found
+
+
+def test_no_floating_point():
+    found = [f"{path.name}:{line}: {what}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, what in _float_sources(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "x = a / b", "x /= 2", "x = 0.5", "x = 1e3", "x = 2j", "y = float(x)",
+    "y = round(x)", "from math import sqrt", "from math import *",
+    "import math",
+])
+def test_float_check_finds_each_form(source):
+    assert len(_float_sources(ast.parse(source))) == 1
