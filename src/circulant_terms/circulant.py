@@ -435,13 +435,15 @@ class _Engine:
     across all b of a given n: multisets of bricks are encoded as packed
     base-(n+1) integers so removing a block is a subtraction.
 
-    One brick of the largest length is taken out as the block's anchor,
-    then one walk picks how many bricks of each occupied length above 1
-    join it, largest first, and the leaf forces the length-1 count mod n.
-    It enters a branch only if a per-state bitmask says the bricks still
-    to choose can bring the block's length-sum to 0 mod n; each branch
-    dropped would have ended in a length-1 loop that never runs, so the
-    memoized states, and their order, are those of the full walk.
+    One brick of the largest length is taken out as the block's anchor.
+    The partial blocks grown from it are kept in a list, extended by one
+    occupied length above 1 at a time, largest first and fewest bricks
+    first, so they keep the order of a depth-first walk.  One is kept
+    only if a per-state bitmask says the bricks still to choose can
+    bring its length-sum to 0 mod n.  The last level feeds the leaf,
+    which forces the length-1 count mod n in one step: sum(b) = n leaves
+    at most n-1 length-1 bricks besides the anchor.  The memoized
+    states, and their order, are those of the full walk.
     """
 
     def __init__(self, n):
@@ -452,6 +454,8 @@ class _Engine:
         self.fact = fact
         # weight of one block of r bricks
         self.block_weight = [0] + [-n * fact[r - 1] for r in range(1, n + 1)]
+        self.binom = [[comb(c, a) for a in range(c + 1)] for c in range(n + 1)]
+        self.full = (1 << n) - 1
 
     def coeff(self, b):
         n = self.n
@@ -473,61 +477,68 @@ class _Engine:
         return val
 
     def h(self, key):
-        val = self.memo.get(key)
+        memo = self.memo
+        val = memo.get(key)
         if val is not None:
             return val
         n = self.n
-        counts = []
-        rest = key
-        for _ in range(n):
-            rest, c = divmod(rest, n + 1)
-            counts.append(c)
-        top = max(i for i in range(n) if counts[i])
+        powers = self.powers
+        counts = [key // p % (n + 1) for p in powers]
+        top = n - 1
+        while not counts[top]:
+            top -= 1
         # one brick of the largest length anchors the block
         counts[top] -= 1
         c1 = counts[0]
-        powers = self.powers
-        block_weight = self.block_weight
-        h = self.h
-        lengths = [i for i in range(top, 0, -1) if counts[i]]
-        depth = len(lengths)
-        full = (1 << n) - 1
-        # reach[k]: bitmask of the residues mod n that lengths[k:] and the
-        # length-1 bricks can still add to the block; the root's is unread
-        reach = [0] * depth + [(1 << min(c1 + 1, n)) - 1]
+        binom = self.binom
+        full = self.full
+        # (size, key step, binomial row) of each occupied length above 1
+        levels = [(i + 1, powers[i], binom[counts[i]])
+                  for i in range(top, 0, -1) if counts[i]]
+        depth = len(levels)
+        # reach[k]: bitmask of the residues mod n that levels[k:] and the
+        # length-1 bricks can still add to the block; only 1..depth-1 read
+        reach = [0] * depth + [(2 << c1) - 1]
         for k in range(depth - 1, 0, -1):
-            size = lengths[k] + 1
+            size, _, row = levels[k]
             m = reach[k + 1]
             mask = 0
-            for a in range(counts[lengths[k]] + 1):
+            for a in range(len(row)):
                 t = size * a % n
                 mask |= ((m << t) | (m >> (n - t))) & full
             reach[k] = mask
-        acc = 0
-
-        def descend(k, s, tkey, r, ways):
-            nonlocal acc
-            if k == depth:
-                a = (-s) % n
-                remkey = key - tkey
-                while a <= c1:
-                    w = ways * comb(c1, a) * block_weight[r + a]
-                    acc += w * h(remkey - a)
-                    a += n
-                return
-            i = lengths[k]
-            ci = counts[i]
-            size = i + 1
-            step = powers[i]
+        # partial blocks (length-sum, key left, bricks, ways)
+        blocks = [(top + 1, key - powers[top], 1, 1)]
+        for k in range(depth - 1):
+            size, step, row = levels[k]
             below = reach[k + 1]
-            for a in range(ci + 1):
-                t = s + size * a
-                if below >> (-t % n) & 1:
-                    descend(k + 1, t, tkey + step * a, r + a,
-                            ways * comb(ci, a))
-
-        descend(0, top + 1, powers[top], 1, 1)
-        self.memo[key] = acc
+            grown = []
+            for s, left, r, ways in blocks:
+                for w in row:
+                    if below >> (-s % n) & 1:
+                        grown.append((s, left, r, ways * w))
+                    s += size
+                    left -= step
+                    r += 1
+            blocks = grown
+        # the last level feeds the leaf; c1 <= n-1, so one count fits
+        size, step, row = levels[-1] if depth else (0, 0, (1,))
+        ones = binom[c1]
+        block_weight = self.block_weight
+        acc = 0
+        for s, left, r, ways in blocks:
+            for w in row:
+                a1 = -s % n
+                if a1 <= c1:
+                    sub = left - a1
+                    val = memo.get(sub)
+                    if val is None:
+                        val = self.h(sub)
+                    acc += ways * w * ones[a1] * block_weight[r + a1] * val
+                s += size
+                left -= step
+                r += 1
+        memo[key] = acc
         return acc
 
 

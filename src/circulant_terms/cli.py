@@ -16,7 +16,6 @@ import io
 import json
 import os
 import sys
-import traceback
 from fractions import Fraction
 
 from .exactmath import prime_power
@@ -98,19 +97,22 @@ def _emit(fieldnames, rows, fmt, out_path):
 def _check_destination(path):
     if not path:
         raise _OutputError("cannot write '': empty file name")
-    folder = os.path.dirname(path) or "."
+    # through a symbolic link the file written is the link's target
+    folder = os.path.dirname(os.path.realpath(path))
     if not os.path.isdir(folder):
         raise _OutputError(f"cannot write {path}: no directory {folder}")
 
 
 def _write_out(path, text):
+    # a rename over a symbolic link would replace the link, not its target
+    target = os.path.realpath(path)
     try:
-        if os.path.exists(path) and not os.path.isfile(path):
+        if os.path.exists(target) and not os.path.isfile(target):
             # a device or pipe, which a rename would replace by a file
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(target, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
-            _write_atomically(path, text)
+            _write_atomically(target, text)
     except OSError as exc:
         raise _OutputError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -118,7 +120,7 @@ def _write_out(path, text):
 def _write_atomically(path, text):
     # a temporary file beside the destination, renamed over it, so the
     # destination never holds a partial table
-    tmp = os.path.join(os.path.dirname(path) or ".",
+    tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -342,6 +344,8 @@ def main(argv=None):
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        # imported here: it loads tokenize, linecache and textwrap
+        import traceback
         traceback.print_exc()
         print("internal inconsistency detected", file=sys.stderr)
         return 2

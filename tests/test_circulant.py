@@ -268,6 +268,18 @@ class TestDetCoeffEr:
                 for lam, term in det_coeff_er_terms(ev).items():
                     assert term == n ** lam.k * expansion[lam]
 
+    def test_pure_powers_match_their_one_permutation(self):
+        # x_(k+1)^n comes from sigma(i) = (k-1-i) mod n alone, and all of
+        # its bricks have one length: the walk with no level below the
+        # anchor at k = 0, and one level of that length otherwise
+        for n in range(1, 25):
+            for k in range(n):
+                b = [0] * n
+                b[k] = n
+                sigma = [(k - 1 - i) % n for i in range(n)]
+                assert det_coeff_er(ExponentVector(n, b)) == \
+                    sign_epsilon(n) * circ._perm_sign(sigma), (n, k)
+
     def test_nonzero_count_at_6(self):
         zeros = [ev.b for ev in permanent_terms(6)
                  if det_coeff_er(ev) == 0]

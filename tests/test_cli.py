@@ -4,6 +4,8 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +164,33 @@ class TestOut:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert data == "n,d,p,equal\n1,1,1,true\n2,2,2,true\n3,4,4,true\n"
         assert [p.name for p in tmp_path.iterdir()] == ["rows"]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+    def test_symlink_target_is_written(self, capsys, tmp_path):
+        _, direct, _ = run(capsys, ["table", "--max-n", "3"])
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "table.csv"
+        target.write_text("stale\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, out, _ = run(capsys, ["table", "--max-n", "3",
+                                    "--out", str(link)])
+        assert (code, out) == (0, "")
+        assert link.is_symlink()
+        assert target.read_text() == direct
+        assert [p.name for p in (tmp_path / "data").iterdir()] == \
+            ["table.csv"]
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="no symlinks")
+    def test_symlink_into_missing_directory_exits_1(self, capsys, tmp_path):
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "missing" / "table.csv")
+        code, out, err = run(capsys, ["table", "--max-n", "3",
+                                      "--out", str(link)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot write")
+        assert link.is_symlink()
+        assert not (tmp_path / "missing").exists()
 
 
 class TestStdoutDigests:
@@ -454,6 +483,15 @@ class TestParser:
         code, out, err = run(capsys, ["table", "--max-n", "-3x"])
         assert (code, out) == (1, "")
         assert "not a decimal integer: '-3x'" in err
+
+    def test_traceback_not_imported(self):
+        # traceback is loaded only when an internal error is reported
+        code = ("import sys, circulant_terms.cli; "
+                "sys.exit('traceback' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-S", "-c", code],
+                              env=env).returncode == 0
 
     def test_internal_error_exits_2(self, capsys, monkeypatch):
         def boom(n, method="formula"):
