@@ -26,6 +26,7 @@ from itertools import accumulate
 from math import factorial, prod
 from random import Random
 
+from .exactmath import valuation
 from .partitions import Partition, partitions_of, z_of
 
 
@@ -137,6 +138,28 @@ def _row_fills(bricks, target):
 
 _W_MEMO = {}
 
+# LRU memos shared by every caller, each with an explicit entry bound:
+# _FILLS maps (bricks, target) to _row_fills' pairs with their row
+# weights, _LAMBDA_TERMS maps (n, q, k(mu) mod 2) to lambda-level terms.
+# Unbounded, the row-fill memo took verify 11 from 53 to 416 MB peak.
+_FILLS = {}
+_FILLS_MAX = 512
+_LAMBDA_TERMS = {}
+_LAMBDA_TERMS_MAX = 64
+
+
+def _lru(cache, key, limit, make):
+    """cache[key], made by make(*key) on a miss, and marked most recently
+    used; at the limit a miss first drops the least recently used entry.
+    A caller that holds a dropped value keeps it intact."""
+    value = cache.pop(key, None)
+    if value is None:
+        if len(cache) >= limit:
+            del cache[next(iter(cache))]
+        value = make(*key)
+    cache[key] = value
+    return value
+
 
 def filling_weight(lam, mu):
     """Return w(lambda, mu): the total weight of all fillings of lambda by
@@ -235,11 +258,18 @@ class FillingClass:
         return f"FillingClass({self.lam.parts}, rows={self.rows})"
 
 
+def _weighted_fills(bricks, target):
+    # _row_fills' pairs, each with its row's _row_weight
+    return [(row, rest, _row_weight(target, [m for _, m in _runs(row)]))
+            for row, rest in _row_fills(bricks, target)]
+
+
 def _class_walk(lam, mu, fills):
     """Yield (class, class_weight_sum) for each class of fillings of lambda
     by mu, once and canonical: a row as long as the one before takes no
-    larger brick tuple.  fills, the caller's, memoizes _row_fills pairs
-    per (bricks, target), each with its row's _row_weight."""
+    larger brick tuple.  fills, an LRU memo of at most _FILLS_MAX entries
+    (_FILLS, or the caller's own dict), holds _weighted_fills per
+    (bricks, target)."""
     parts = lam.parts
 
     def descend(j, bricks, rows, weight):
@@ -248,13 +278,9 @@ def _class_walk(lam, mu, fills):
             fc._set(lam, mu, rows)
             yield fc, _class_weight(parts, rows, weight)
             return
-        key = bricks, parts[j]
-        if key not in fills:
-            fills[key] = [
-                (row, rest, _row_weight(key[1], [m for _, m in _runs(row)]))
-                for row, rest in _row_fills(*key)]
         same = j and parts[j] == parts[j - 1]
-        for row, rest, w in fills[key]:
+        for row, rest, w in _lru(fills, (bricks, parts[j]), _FILLS_MAX,
+                                 _weighted_fills):
             if not same or row <= rows[-1]:
                 yield from descend(j + 1, rest, rows + (row,), weight * w)
 
@@ -266,7 +292,7 @@ def enumerate_filling_classes(lam, mu):
     unordered multiset of per-row brick multisets for each row length."""
     if lam.q != mu.q:
         raise ValueError("sizes differ")
-    return [fc for fc, _ in _class_walk(lam, mu, {})]
+    return [fc for fc, _ in _class_walk(lam, mu, _FILLS)]
 
 
 def class_weight_sum(fc):
@@ -301,6 +327,20 @@ def _er_term(mu, lam, weight, n):
     # with each power sum p_(lambda_j) evaluated to n
     sign = -1 if (mu.k - lam.k) % 2 else 1
     return Fraction(sign * weight * n ** lam.k, z_of(lam))
+
+
+def _lambda_terms(mu, n, p):
+    """[(lambda, unit, v_p(unit))] for each lambda of q(mu) whose parts are
+    multiples of n, unit being lambda's term at weight 1; it depends on mu
+    only through q(mu) and the parity of k(mu)."""
+    def make(n, q, parity):
+        out = []
+        for lam in partitions_of(q, n):
+            unit = _er_term(mu, lam, 1, n)
+            out.append((lam, unit, valuation(unit, p)))
+        return out
+
+    return _lru(_LAMBDA_TERMS, (n, mu.q, mu.k % 2), _LAMBDA_TERMS_MAX, make)
 
 
 def _er_terms(mu, lams, n):

@@ -57,7 +57,7 @@ from operator import itemgetter
 
 from .exactmath import euler_phi, divisors
 from .partitions import Partition, partitions_of
-from .bricks import _W_MEMO, _er_terms
+from .bricks import _FILLS, _LAMBDA_TERMS, _W_MEMO, _er_terms
 
 ORACLE_MAX_N = 12
 
@@ -555,10 +555,14 @@ def _engine(n):
 def cache_sizes():
     """Entries held by the process-wide caches, which grow until
     clear_caches() empties them: coefficient-engine states over every n,
-    expanded determinants, and brick-filling weights."""
+    expanded determinants, brick-filling weights, and the two bounded
+    memos of the dominance certificate, row fills and lambda-level
+    terms."""
     return {"engine_states": sum(len(e.memo) for e in _ENGINES.values()),
             "expanded_determinants": len(_EXPAND_CACHE),
-            "filling_weights": len(_W_MEMO)}
+            "filling_weights": len(_W_MEMO),
+            "row_fills": len(_FILLS),
+            "lambda_terms": len(_LAMBDA_TERMS)}
 
 
 def clear_caches():
@@ -566,6 +570,8 @@ def clear_caches():
     _ENGINES.clear()
     _EXPAND_CACHE.clear()
     _W_MEMO.clear()
+    _FILLS.clear()
+    _LAMBDA_TERMS.clear()
 
 
 def det_coeff_er(b):

@@ -26,8 +26,9 @@ lemma_check covers the multinomial valuation bound that drives it.
 from fractions import Fraction
 
 from .exactmath import multinomial, prime_power, valuation
-from .partitions import factorial_of_partition, partitions_of
-from .bricks import _class_walk, _er_term, class_weight_sum
+from .partitions import factorial_of_partition
+from .bricks import (_FILLS, _class_walk, _er_term, _lambda_terms,
+                     class_weight_sum)
 from .circulant import det_coeff_er, hall_admissible
 
 
@@ -147,12 +148,9 @@ def dominance_check(b, n, coefficient=None):
     records = []
     total = Fraction(0)
     passed = True
-    fills = {}
-    for lam in partitions_of(q, n):
-        unit = _er_term(mu, lam, 1, n)
-        v_unit = valuation(unit, p)
+    for lam, unit, v_unit in _lambda_terms(mu, n, p):
         weights = 0
-        for fc, weight in _class_walk(lam, mu, fills):
+        for fc, weight in _class_walk(lam, mu, _FILLS):
             contrib = unit * weight
             v = v_unit + valuation(weight, p)
             records.append(ClassRecord(lam, fc, contrib, v))

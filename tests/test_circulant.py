@@ -28,6 +28,7 @@ from circulant_terms.circulant import (
 )
 from circulant_terms.bricks import m_to_p_expansion
 from circulant_terms.partitions import Partition
+from circulant_terms.theorem import dominance_check
 
 # per(A) and det(A) term counts for n = 1..12
 P_REFERENCE = [1, 2, 4, 10, 26, 80, 246, 810, 2704, 9252, 32066, 112720]
@@ -568,7 +569,9 @@ class TestCaches:
         clear_caches()
         assert cache_sizes() == {"engine_states": 0,
                                  "expanded_determinants": 0,
-                                 "filling_weights": 0}
+                                 "filling_weights": 0,
+                                 "row_fills": 0,
+                                 "lambda_terms": 0}
         ev = ExponentVector(4, (0, 2, 0, 2))
         values = (expand_det(4).coefficient(ev), det_coeff_er(ev),
                   det_coeff_er_terms(ev))
@@ -582,6 +585,16 @@ class TestCaches:
         assert set(cache_sizes().values()) == {0}
         assert (expand_det(4).coefficient(ev), det_coeff_er(ev),
                 det_coeff_er_terms(ev)) == values
+        # the dominance certificate's bounded memos are reported too
+        dominance_check(ev, 4)
+        sizes = cache_sizes()
+        assert sizes["row_fills"] > 0
+        assert sizes["lambda_terms"] > 0
+        assert sizes["row_fills"] == len(bricks._FILLS)
+        assert sizes["lambda_terms"] == len(bricks._LAMBDA_TERMS)
+        clear_caches()
+        assert cache_sizes()["row_fills"] == 0
+        assert cache_sizes()["lambda_terms"] == 0
 
 
 class TestTermTable:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import circulant_terms.bricks as bricks
 from circulant_terms.bricks import (
     FillingClass,
     class_weight_sum,
@@ -9,7 +10,10 @@ from circulant_terms.bricks import (
 )
 from circulant_terms.circulant import (
     ExponentVector,
+    cache_sizes,
+    clear_caches,
     det_coeff_er,
+    det_table,
     permanent_terms,
 )
 from circulant_terms.exactmath import prime_power, valuation
@@ -195,6 +199,51 @@ class TestDominanceCheck:
         assert (report.p, report.r) == (3, 2)
         assert report.q_class_valuation == \
             valuation(q_class_contribution(ExponentVector(9, (9,) + (0,) * 8)), 3)
+
+
+class TestSharedRowFillMemo:
+    # dominance_check shares one LRU row-fill memo, bounded by _FILLS_MAX,
+    # across every term; what it holds must never show in a report
+
+    @staticmethod
+    def _reports(n, terms):
+        coeffs = dict(zip(permanent_terms(n), det_table(n)))
+        out = {}
+        for b in terms:
+            report = dominance_check(b, n, coeffs[b])
+            out[b] = (report.passed, report.q_class_valuation,
+                      report.other_valuations(),
+                      [rec.filling_class.rows for rec in report.class_records])
+        return out
+
+    def test_bound_holds_through_an_evicting_run(self):
+        clear_caches()
+        terms = permanent_terms(9)
+        assert len(terms) == 2704
+        peak = 0
+        for b, c in zip(terms, det_table(9)):
+            dominance_check(b, 9, c)
+            size = cache_sizes()["row_fills"]
+            assert size <= bricks._FILLS_MAX
+            peak = max(peak, size)
+        # the run fills the memo to its bound, so it evicts
+        assert peak == bricks._FILLS_MAX
+        clear_caches()
+
+    def test_order_and_eviction_leave_reports_unchanged(self, monkeypatch):
+        terms = permanent_terms(8)
+        clear_caches()
+        forward = self._reports(8, terms)
+        clear_caches()
+        backward = self._reports(8, terms[::-1])
+        clear_caches()
+        monkeypatch.setattr(bricks, "_FILLS_MAX", 2)
+        evicting = self._reports(8, terms)
+        assert cache_sizes()["row_fills"] <= 2
+        clear_caches()
+        assert len(forward) == 810
+        assert backward == forward
+        assert evicting == forward
 
 
 class TestLemmaCheck:
