@@ -12,9 +12,12 @@ Determinant coefficients come from three independent routes: the
 oracle, and the partition sum by the engine and term by term.
 
 * det_coeff_oracle: expand det(A) as a signed sum over permutations
-  and read off the coefficient.  Only the (n-1)! permutations with
-  sigma(0) = 0 (rows and columns counted from 0) are visited: the
-  column shift tau_c(j) = j + c mod n maps them onto those with
+  and read off the coefficient.  One coefficient visits only the
+  permutations whose monomial is x^b, by a depth-first walk over the
+  rows that tries a column only while its variable has exponent left
+  to spend.  expand_det, the whole table at once, sweeps the (n-1)!
+  permutations with sigma(0) = 0 (rows and columns counted from 0):
+  the column shift tau_c(j) = j + c mod n maps them onto those with
   sigma(0) = c, rotating each exponent vector by c and multiplying
   each sign by sgn(tau_c) = (-1)^(c(n-1)).  Exact but factorial;
   bounded at n <= 12.
@@ -352,19 +355,66 @@ def _sweep_worker(args):
     return _sweep(*args)
 
 
+def _pool_map(worker, tasks, jobs):
+    """[worker(task) for task in tasks], over at most `jobs` spawned
+    worker processes."""
+    from multiprocessing import get_context
+    with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
+        return pool.map(worker, tasks)
+
+
 def _fixed_row_sweep(n, jobs):
     """_sweep(n, first=0), or with jobs > 1 the same (n-1)! permutations
     split by the value in row 1 over that many worker processes."""
     if jobs <= 1 or n < 3:
         return _sweep(n, first=0)
-    from multiprocessing import get_context
-    with get_context("spawn").Pool(min(jobs, n - 1)) as pool:
-        parts = pool.map(_sweep_worker, [(n, 0, s) for s in range(1, n)])
     table = {}
-    for part in parts:
+    for part in _pool_map(_sweep_worker, [(n, 0, s) for s in range(1, n)],
+                          jobs):
         for key, coeff in part.items():
             table[key] = table.get(key, 0) + coeff
     return table
+
+
+def _target_count(n, b, first=None):
+    """The Leibniz sum restricted to the permutations whose monomial is
+    x^b.  A depth-first walk fills rows 0..n-1 in turn; row i tries only
+    the free columns j whose variable, of 0-based index (i+j+1) mod n,
+    still has an unspent exponent in b.  Placing column j after an odd
+    number of greater columns flips the sign.  With `first` given, row 0
+    takes only that column."""
+    left = list(b)
+    full = (1 << n) - 1
+
+    def walk(i, used, avail):
+        # avail: bitmask of the variables with an unspent exponent
+        if i == n:
+            return 1
+        s = (i + 1) % n
+        cols = ((avail >> s) | (avail << (n - s))) & ~used & full
+        if first is not None and not i:
+            cols &= 1 << first
+        total = 0
+        while cols:
+            low = cols & -cols
+            cols ^= low
+            j = low.bit_length() - 1
+            v = (i + j + 1) % n
+            left[v] -= 1
+            sub = walk(i + 1, used | low,
+                       avail if left[v] else avail & ~(1 << v))
+            left[v] += 1
+            if (used >> (j + 1)).bit_count() & 1:
+                total -= sub
+            else:
+                total += sub
+        return total
+
+    return walk(0, 0, sum(1 << v for v, x in enumerate(b) if x))
+
+
+def _target_worker(args):
+    return _target_count(*args)
 
 
 _EXPAND_CACHE = {}
@@ -372,20 +422,22 @@ _EXPAND_CACHE = {}
 
 def det_coeff_oracle(b, jobs=1):
     """The coefficient of x^b in det(A) by direct signed expansion;
-    exact, bounded at n <= 12.  The (n-1)! permutations with sigma(0) = 0
-    are swept into a table S; the column shift by c maps them onto those
-    with sigma(0) = c, exponents rotated by c and signs times
-    (-1)^(c(n-1)), so [x^b] = sum_c (-1)^(c(n-1)) S[b rotated back by c].
-    When expand_det(n) is already cached, its entry is returned instead."""
+    exact, bounded at n <= 12.  Only the permutations whose monomial is
+    x^b are visited, by a depth-first walk over the rows that tries a
+    column only while its variable has exponent left to spend, tracking
+    the sign as it goes; with jobs > 1 the walk is split by row 0's
+    column over that many worker processes.  When expand_det(n) is
+    already cached, its entry is returned instead."""
     n = b.n
     if n > ORACLE_MAX_N:
         raise ValueError("oracle bound exceeded")
     cached = _EXPAND_CACHE.get(n)
     if cached is not None:
         return cached.coefficient(b)
-    swept = _fixed_row_sweep(n, jobs)
-    return sum((-1) ** (c * (n - 1)) * swept.get(b.b[c:] + b.b[:c], 0)
-               for c in range(n))
+    if jobs <= 1:
+        return _target_count(n, b.b)
+    return sum(_pool_map(_target_worker, [(n, b.b, j) for j in range(n)],
+                         jobs))
 
 
 def expand_det(n, jobs=1):

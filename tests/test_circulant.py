@@ -185,12 +185,34 @@ class TestDetCoeffOracle:
             assert det_coeff_oracle(ev) == table.coefficient(ev), ev
 
     def test_uncached_sweep_matches_expansion(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             circ._EXPAND_CACHE.pop(n, None)
             swept = [det_coeff_oracle(ev) for ev in permanent_terms(n)]
             table = expand_det(n)
             assert swept == [table.coefficient(ev)
                              for ev in permanent_terms(n)], n
+
+    def test_walk_matches_engine_past_the_sweep(self, monkeypatch):
+        # no expansion cached and no sweep: the permutation walk answers
+        # alone, on unrestricted draws as well as at the edges
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept for a single coefficient")
+
+        monkeypatch.setattr(circ, "_sweep", no_sweep)
+        monkeypatch.setattr(circ, "_EXPAND_CACHE", {})
+        rng = random.Random("pruned-oracle")
+        for n in (10, 11, 12):
+            eps = sign_epsilon(n)
+            for _ in range(3):
+                ev = ExponentVector(n, random_admissible(rng, n))
+                assert det_coeff_oracle(ev) == eps * det_coeff_er(ev), ev
+        for n in (1, 2):
+            for ev in permanent_terms(n):
+                assert det_coeff_oracle(ev) == \
+                    sign_epsilon(n) * det_coeff_er(ev), ev
+        inadmissible = ExponentVector(10, (2, 1, 1, 1, 1, 1, 1, 1, 1, 0))
+        assert not hall_admissible(inadmissible)
+        assert det_coeff_oracle(inadmissible) == 0
 
 
 class TestExpandDet:
@@ -499,8 +521,39 @@ class TestParallelSweep:
         assert parallel == serial
 
 
+class InProcessContext:
+    """Stands in for multiprocessing.get_context(...): its Pool runs map
+    in this process and records the worker counts and tasks handed out."""
+
+    def __init__(self):
+        self.processes = []
+        self.handed = []
+
+    def Pool(self, processes):
+        self.processes.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, argses):
+        self.handed.extend(argses)
+        return [fn(args) for args in argses]
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    context = InProcessContext()
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: context)
+    return context
+
+
 class TestColumnShift:
-    """The oracle sweeps only sigma(0) = 0; composing with the column
+    """expand_det sweeps only sigma(0) = 0; composing with the column
     shift by c rotates exponents by c and multiplies signs by
     (-1)^(c(n-1)).  These tests pin that to the literal n! sweep."""
 
@@ -537,31 +590,24 @@ class TestColumnShift:
                 assert det_coeff_oracle(ev, jobs=2) == \
                     det_coeff_oracle(ev, jobs=1) == serial.get(ev, 0)
 
-    def test_jobs_split_one_fixed_row_sweep(self, monkeypatch):
+    def test_jobs_split_one_fixed_row_sweep(self, in_process_pool):
         # the workers get row 1's n - 1 values under sigma(0) = 0, so
         # together they visit (n-1)! permutations, as one serial sweep does
-        handed = []
-
-        class InProcess:
-            def Pool(self, processes):
-                return self
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, argses):
-                handed.extend(argses)
-                return [fn(args) for args in argses]
-
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method: InProcess())
         n = 7
         table = circ._fixed_row_sweep(n, jobs=3)
-        assert handed == [(n, 0, s) for s in range(1, n)]
+        assert in_process_pool.handed == [(n, 0, s) for s in range(1, n)]
         assert self.nonzero(table) == self.nonzero(circ._sweep(n, first=0))
+
+    def test_jobs_split_the_walk_by_row_0(self, in_process_pool,
+                                          monkeypatch):
+        # one task per column of row 0, over at most min(jobs, n) workers
+        monkeypatch.setattr(circ, "_EXPAND_CACHE", {})
+        n = 7
+        ev = ExponentVector(n, (0, 2, 1, 0, 3, 1, 0))
+        assert det_coeff_oracle(ev, jobs=3) == det_coeff_oracle(ev) == \
+            expand_det(n).coefficient(ev) != 0
+        assert in_process_pool.processes == [3]
+        assert in_process_pool.handed == [(n, ev.b, j) for j in range(n)]
 
 
 class TestCaches:
