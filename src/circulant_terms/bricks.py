@@ -113,34 +113,36 @@ def _runs(seq):
 
 
 def _row_fills(bricks, target):
-    """(row, rest) for every sub-multiset row of the sorted-descending
-    brick tuple with mass target, rest being the bricks it leaves; both
-    sorted descending, rows in decreasing lexicographic order."""
+    """(row, rest, alpha) for every sub-multiset row of the
+    sorted-descending brick tuple with mass target, rest being the bricks
+    it leaves and alpha the multiplicities of row's distinct lengths;
+    row and rest sorted descending, rows in decreasing lexicographic
+    order."""
     runs = _runs(bricks)
     starts = [0, *accumulate(count for _, count in runs)]
     suffix_mass = [sum(bricks[start:]) for start in starts]
     out = []
 
-    def descend(i, rem, row, rest):
+    def descend(i, rem, row, rest, alpha):
         if rem == 0:
-            out.append((row, rest + bricks[starts[i]:]))
+            out.append((row, rest + bricks[starts[i]:], alpha))
             return
         if suffix_mass[i] < rem:
             return
         s, count = runs[i]
         for a in range(min(count, rem // s), -1, -1):
             descend(i + 1, rem - s * a, row + (s,) * a,
-                    rest + (s,) * (count - a))
+                    rest + (s,) * (count - a), alpha + (a,) if a else alpha)
 
-    descend(0, target, (), ())
+    descend(0, target, (), (), ())
     return out
 
 
 _W_MEMO = {}
 
 # LRU memos shared by every caller, each with an explicit entry bound:
-# _FILLS maps (bricks, target) to _row_fills' pairs with their row
-# weights, _LAMBDA_TERMS maps (n, q, k(mu) mod 2) to lambda-level terms.
+# _FILLS maps (bricks, target) to _row_fills' rows and rests with their
+# row weights, _LAMBDA_TERMS maps (n, q, k(mu) mod 2) to lambda-level terms.
 # Unbounded, the row-fill memo took verify 11 from 53 to 416 MB peak.
 _FILLS = {}
 _FILLS_MAX = 512
@@ -184,9 +186,8 @@ def _w(rows, bricks):
     if val is not None:
         return val
     total = 0
-    for row, rest in _row_fills(bricks, rows[0]):
-        total += (_row_weight(rows[0], [m for _, m in _runs(row)])
-                  * _w(rows[1:], rest))
+    for _, rest, alpha in _row_fills(bricks, rows[0]):
+        total += _row_weight(rows[0], alpha) * _w(rows[1:], rest)
     _W_MEMO[key] = total
     return total
 
@@ -259,9 +260,9 @@ class FillingClass:
 
 
 def _weighted_fills(bricks, target):
-    # _row_fills' pairs, each with its row's _row_weight
-    return [(row, rest, _row_weight(target, [m for _, m in _runs(row)]))
-            for row, rest in _row_fills(bricks, target)]
+    # _row_fills' rows and rests, each with its row's _row_weight
+    return [(row, rest, _row_weight(target, alpha))
+            for row, rest, alpha in _row_fills(bricks, target)]
 
 
 def _class_walk(lam, mu, fills):

@@ -64,6 +64,9 @@ from .bricks import _FILLS, _LAMBDA_TERMS, _W_MEMO, _er_terms
 
 ORACLE_MAX_N = 12
 
+# exponents at the end of each term listed once per _residue_walk call
+_TAIL = 5
+
 _P_METHODS = ("formula", "congruence", "necklaces", "lattice")
 
 
@@ -151,13 +154,14 @@ def _residue_walk(n, total):
     """Yield every exponent tuple a of length n with sum(a) = total and
     sum(i*a_i) = 0 (mod n), in lexicographic order.
 
-    Variables are chosen in order x_1, x_2, ...; a suffix table records,
-    for each position and remaining degree, the residues mod n the
-    remaining variables can still reach, so every branch taken ends in
-    an admissible vector and nothing else is visited."""
-    if n == 1:
-        yield (total,)
-        return
+    The last min(n, _TAIL) exponents are listed once per call, bottom-up:
+    tails[(r, res)] holds, in lexicographic order, their tuples that
+    spend degree r and make up residue res.  The first n - _TAIL
+    variables are walked in order x_1, x_2, ... on one explicit stack,
+    pruned by a suffix table of the residues mod n the remaining
+    variables can still reach for each remaining degree, so every
+    prefix reached has a nonempty tail list; each prefix yields itself
+    joined to every tuple of its list."""
     full = (1 << n) - 1
     # reach[i][r]: bitmask of residues sum((j+1)*a_j for j >= i) mod n
     # over the ways to spend degree r on variables i+1..n (1-based)
@@ -174,29 +178,43 @@ def _residue_walk(n, total):
                     s = (w * a) % n
                     mask |= ((m << s) | (m >> (n - s))) & full
             row[r] = mask
-    b = [0] * n
-    tail = n - 2
-
-    def descend(i, r, res):
-        # variables i+1..n must spend degree r and make up residue res
-        if i == tail:
-            # x_(n-1) has weight -1 and x_n weight 0 mod n, so the
-            # exponent of x_(n-1) is -res mod n and x_n takes the rest
-            for a in range((-res) % n, r + 1, n):
+    k = max(n - _TAIL, 0)
+    # x_n has weight 0 mod n; each earlier tail variable goes in front,
+    # by increasing exponent, so every list stays lexicographic
+    tails = {(r, 0): [(r,)] for r in range(total + 1)}
+    for i in range(n - 2, k - 1, -1):
+        grown = {}
+        for a in range(total + 1):
+            for (r, res), ts in tails.items():
+                if r + a <= total:
+                    grown.setdefault((r + a, (res + (i + 1) * a) % n),
+                                     []).extend([(a,) + t for t in ts])
+        tails = grown
+    # the stack: b[i] is the exponent tried at x_(i+1), and rem[i] and
+    # need[i] the degree and residue left to x_(i+1)..x_n
+    b = [0] * k
+    rem = [total] + [0] * k
+    need = [0] * (k + 1)
+    i, a = 0, 0
+    while i >= 0:
+        if i < k:
+            r, w, nxt = rem[i], i + 1, reach[i + 1]
+            while a <= r and not nxt[r - a] >> (need[i] - w * a) % n & 1:
+                a += 1
+            if a <= r:
                 b[i] = a
-                b[i + 1] = r - a
-                yield tuple(b)
-            return
-        w = i + 1
-        nxt = reach[i + 1]
-        for a in range(r + 1):
-            need = (res - w * a) % n
-            if nxt[r - a] >> need & 1:
-                b[i] = a
-                yield from descend(i + 1, r - a, need)
-
-    if reach[0][total] & 1:
-        yield from descend(0, total, 0)
+                rem[i + 1] = r - a
+                need[i + 1] = (need[i] - w * a) % n
+                i, a = i + 1, 0
+                continue
+        else:
+            prefix = tuple(b)
+            for t in tails[rem[k], need[k]]:
+                yield prefix + t
+        # back up one variable and try its next exponent
+        i -= 1
+        if i >= 0:
+            a = b[i] + 1
 
 
 def permanent_terms(n):
@@ -382,8 +400,12 @@ def _target_count(n, b, first=None):
     the free columns j whose variable, of 0-based index (i+j+1) mod n,
     still has an unspent exponent in b.  Placing column j after an odd
     number of greater columns flips the sign.  With `first` given, row 0
-    takes only that column."""
+    takes only that column.  The rows and the columns each sum to
+    n(n-1)/2, so a permutation's variable indices sum to 0 mod n; a b
+    whose weighted index sum is not 0 mod n returns 0 unwalked."""
     left = list(b)
+    if sum(v * x for v, x in enumerate(left)) % n:
+        return 0
     full = (1 << n) - 1
 
     def walk(i, used, avail):

@@ -268,16 +268,19 @@ class TestRowFills:
                 bricks = mu.parts
                 for target in range(mass + 1):
                     fills = _row_fills(bricks, target)
-                    rows = [row for row, _ in fills]
+                    rows = [row for row, _, _ in fills]
                     expected = {tuple(sorted(sub, reverse=True))
                                 for sub in sub_multisets(Counter(bricks),
                                                          target)}
                     assert set(rows) == expected
-                    for row, rest in fills:
+                    for row, rest, alpha in fills:
                         assert row == tuple(sorted(row, reverse=True))
                         assert rest == tuple(sorted(rest, reverse=True))
                         assert (Counter(row) + Counter(rest)
                                 == Counter(bricks))
+                        assert alpha == tuple(
+                            row.count(s) for s in sorted(set(row),
+                                                         reverse=True))
                     assert all(a > b for a, b in zip(rows, rows[1:]))
 
     def test_memo_states_of_m2p_8(self):

@@ -1,6 +1,8 @@
 import hashlib
 import multiprocessing
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -117,6 +119,30 @@ class TestPermanentTerms:
             expected = [ev for ev in _all_vectors(n) if hall_admissible(ev)]
             assert permanent_terms(n) == expected
 
+    def test_residue_walk_pins_the_terms_at_10_to_12(self):
+        # strictly increasing, admissible, of degree n and p(n) in
+        # number: together exactly the admissible vectors, in order
+        for n in (10, 11, 12):
+            count, last = 0, ()
+            for a in circ._residue_walk(n, n):
+                assert len(a) == n and sum(a) == n
+                assert sum(i * x for i, x in enumerate(a, 1)) % n == 0
+                assert last < a
+                count, last = count + 1, a
+            assert count == p_count(n)
+
+    def test_residue_walk_holds_no_term_list(self):
+        # the walk keeps its tail table and O(n) state, not the terms:
+        # the 400,024 terms of n = 13 would take tens of MB
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in circ._residue_walk(13, 13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == p_count(13)
+        assert peak < 2 * 10 ** 6
+
     def test_residue_walk_matches_composition_filter(self):
         # every degree, since the power sums walk degrees below n too
         for n in range(1, 10):
@@ -168,6 +194,31 @@ class TestDetCoeffOracle:
 
     def test_inadmissible_gives_zero(self):
         assert det_coeff_oracle(ExponentVector(3, (2, 1, 0))) == 0
+
+    @staticmethod
+    def _walk_calls(b):
+        # the target count of b and the calls made to its inner walk;
+        # _target_count itself, since a cached expand_det(n) would
+        # answer det_coeff_oracle without walking
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "walk":
+                calls.append(1)
+
+        sys.setprofile(profile)
+        try:
+            value = circ._target_count(len(b), b)
+        finally:
+            sys.setprofile(None)
+        return value, len(calls)
+
+    def test_inadmissible_b_is_refused_before_the_walk(self):
+        # q = 78 is not 0 mod 12, yet every variable has exponent to
+        # spend, so an unchecked walk would visit millions of nodes
+        assert self._walk_calls((1,) * 12) == (0, 0)
+        value, calls = self._walk_calls((1, 1, 1))
+        assert value == 3 and calls > 0
 
     def test_bound_enforced(self):
         b = (13,) + (0,) * 12
