@@ -22,8 +22,7 @@ determinant's partition sum and the class contributions share.
 """
 
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from random import Random
 
 from .exactmath import valuation
@@ -112,40 +111,64 @@ def _runs(seq):
     return [(value, seq.count(value)) for value in dict.fromkeys(seq)]
 
 
-def _row_fills(bricks, target):
-    """(row, rest, alpha) for every sub-multiset row of the
-    sorted-descending brick tuple with mass target, rest being the bricks
-    it leaves and alpha the multiplicities of row's distinct lengths;
-    row and rest sorted descending, rows in decreasing lexicographic
-    order."""
+def _row_fills(bricks, step, cap=None):
+    """The rows of a sorted-descending brick tuple by mass: item i lists,
+    as (row, rest, weight), every sub-multiset row of mass (i+1)*step,
+    rest being the bricks it leaves and weight its row weight, row and
+    rest sorted descending, in decreasing lexicographic order of row.
+    The masses run up to cap, by default every proper sub-multiset's.
+    One walk serves every row length: a suffix table of the residues mod
+    step that the remaining runs of equal bricks can still reach prunes
+    every branch that cannot end on a multiple of step."""
     runs = _runs(bricks)
-    starts = [0, *accumulate(count for _, count in runs)]
-    suffix_mass = [sum(bricks[start:]) for start in starts]
-    out = []
-
-    def descend(i, rem, row, rest, alpha):
-        if rem == 0:
-            out.append((row, rest + bricks[starts[i]:], alpha))
-            return
-        if suffix_mass[i] < rem:
-            return
+    full = (1 << step) - 1
+    # reach[i]: bitmask of the residues mod step of the masses of
+    # sub-multisets of runs i, i+1, ...
+    reach = [1] * (len(runs) + 1)
+    for i in range(len(runs) - 1, -1, -1):
         s, count = runs[i]
-        for a in range(min(count, rem // s), -1, -1):
-            descend(i + 1, rem - s * a, row + (s,) * a,
-                    rest + (s,) * (count - a), alpha + (a,) if a else alpha)
-
-    descend(0, target, (), (), ())
-    return out
+        nxt = reach[i + 1]
+        mask = 0
+        for a in range(count + 1):
+            shift = s * a % step
+            mask |= ((nxt << shift) | (nxt >> (step - shift))) & full
+        reach[i] = mask
+    if cap is None:
+        cap = sum(bricks) - 1
+    # partial rows (mass, row, rest, alpha) over the runs so far, in
+    # decreasing lexicographic order of row: each takes its run's
+    # bricks most first
+    partial = [(0, (), (), ())]
+    for (s, count), nxt in zip(runs, reach[1:]):
+        grown = []
+        for mass, row, rest, alpha in partial:
+            for a in range(min(count, (cap - mass) // s), -1, -1):
+                m = mass + s * a
+                if nxt >> (-m % step) & 1:
+                    grown.append((m, row + (s,) * a, rest + (s,) * (count - a),
+                                  alpha + (a,) if a else alpha))
+        partial = grown
+    # a listed row's rest is listed too, unless cap leaves it out: the
+    # two share one tuple, which the memo holds once
+    rows = {row: row for _, row, _, _ in partial}
+    by_mass = [[] for _ in range(cap // step)]
+    for mass, row, rest, alpha in partial:
+        if mass:
+            by_mass[mass // step - 1].append(
+                (row, rows.get(rest, rest), _row_weight(mass, alpha)))
+    return tuple(map(tuple, by_mass))
 
 
 _W_MEMO = {}
 
 # LRU memos shared by every caller, each with an explicit entry bound:
-# _FILLS maps (bricks, target) to _row_fills' rows and rests with their
-# row weights, _LAMBDA_TERMS maps (n, q, k(mu) mod 2) to lambda-level terms.
-# Unbounded, the row-fill memo took verify 11 from 53 to 416 MB peak.
+# _FILLS maps (bricks, step) to _row_fills(bricks, step), every row length
+# at once, and _LAMBDA_TERMS maps (n, q, k(mu) mod 2) to lambda-level terms.
+# Unbounded, the row-fill memo took verify 11 from 53 to 416 MB peak.  An
+# entry holds every row length of its tuple, so 448 of them take about
+# the memory that 512 entries of one row length each took in verify 8.
 _FILLS = {}
-_FILLS_MAX = 512
+_FILLS_MAX = 448
 _LAMBDA_TERMS = {}
 _LAMBDA_TERMS_MAX = 64
 
@@ -186,8 +209,10 @@ def _w(rows, bricks):
     if val is not None:
         return val
     total = 0
-    for _, rest, alpha in _row_fills(bricks, rows[0]):
-        total += _row_weight(rows[0], alpha) * _w(rows[1:], rest)
+    # capped at the row, the walk lists that one length; the shared
+    # by-mass memo would list every length and cost this recursion more
+    for _, rest, weight in _row_fills(bricks, rows[0], rows[0])[0]:
+        total += weight * _w(rows[1:], rest)
     _W_MEMO[key] = total
     return total
 
@@ -222,8 +247,9 @@ class FillingClass:
 
     def _set(self, lam, mu, rows):
         # the trusted path, for rows canonical and exact by construction
-        for name, value in zip(self.__slots__, (lam, mu, rows)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def r(self):
@@ -259,33 +285,48 @@ class FillingClass:
         return f"FillingClass({self.lam.parts}, rows={self.rows})"
 
 
-def _weighted_fills(bricks, target):
-    # _row_fills' rows and rests, each with its row's _row_weight
-    return [(row, rest, _row_weight(target, alpha))
-            for row, rest, alpha in _row_fills(bricks, target)]
-
-
-def _class_walk(lam, mu, fills):
-    """Yield (class, class_weight_sum) for each class of fillings of lambda
-    by mu, once and canonical: a row as long as the one before takes no
-    larger brick tuple.  fills, an LRU memo of at most _FILLS_MAX entries
-    (_FILLS, or the caller's own dict), holds _weighted_fills per
-    (bricks, target)."""
+def _class_walk(lam, mu, fills, step=None):
+    """[(class, class_weight_sum)] for each class of fillings of lambda by
+    mu, once and canonical: a row as long as the one before takes no
+    larger brick tuple.  step, which must divide every part of lambda,
+    defaults to their gcd.  Each row but the last takes its splits from
+    fills, an LRU memo of at most _FILLS_MAX entries (_FILLS, or the
+    caller's own dict) holding _row_fills per (bricks, step); the last
+    row takes every brick left."""
     parts = lam.parts
+    if not parts:
+        return [(FillingClass(lam, mu, ()), 1)]
+    last = len(parts) - 1
+    if step is None:
+        step = gcd(*parts)
+    out = []
+
+    def close(rows, bricks, weight):
+        # the last row takes bricks, every brick left
+        rows += (bricks,)
+        fc = object.__new__(FillingClass)
+        fc._set(lam, mu, rows)
+        weight *= _row_weight(parts[last], [m for _, m in _runs(bricks)])
+        out.append((fc, _class_weight(parts, rows, weight)))
 
     def descend(j, bricks, rows, weight):
-        if j == len(parts):
-            fc = object.__new__(FillingClass)
-            fc._set(lam, mu, rows)
-            yield fc, _class_weight(parts, rows, weight)
-            return
         same = j and parts[j] == parts[j - 1]
-        for row, rest, w in _lru(fills, (bricks, parts[j]), _FILLS_MAX,
-                                 _weighted_fills):
-            if not same or row <= rows[-1]:
-                yield from descend(j + 1, rest, rows + (row,), weight * w)
+        closing = j + 1 == last
+        same_last = closing and parts[last] == parts[j]
+        for row, rest, w in _lru(fills, (bricks, step), _FILLS_MAX,
+                                 _row_fills)[parts[j] // step - 1]:
+            if same and row > rows[-1]:
+                continue
+            if not closing:
+                descend(j + 1, rest, rows + (row,), weight * w)
+            elif not same_last or rest <= row:
+                close(rows + (row,), rest, weight * w)
 
-    return descend(0, mu.parts, (), 1)
+    if last:
+        descend(0, mu.parts, (), 1)
+    else:
+        close((), mu.parts, 1)
+    return out
 
 
 def enumerate_filling_classes(lam, mu):
@@ -331,15 +372,15 @@ def _er_term(mu, lam, weight, n):
 
 
 def _lambda_terms(mu, n, p):
-    """[(lambda, unit, v_p(unit))] for each lambda of q(mu) whose parts are
-    multiples of n, unit being lambda's term at weight 1; it depends on mu
-    only through q(mu) and the parity of k(mu)."""
+    """(den, [(lambda, unit, num, v_p(unit))]) for the lambdas of q(mu)
+    whose parts are multiples of n, unit being lambda's term at weight 1
+    and num its numerator over den, the one common denominator of them
+    all; it depends on mu only through q(mu) and the parity of k(mu)."""
     def make(n, q, parity):
-        out = []
-        for lam in partitions_of(q, n):
-            unit = _er_term(mu, lam, 1, n)
-            out.append((lam, unit, valuation(unit, p)))
-        return out
+        units = [(lam, _er_term(mu, lam, 1, n)) for lam in partitions_of(q, n)]
+        den = lcm(*(unit.denominator for _, unit in units))
+        return den, [(lam, unit, unit.numerator * (den // unit.denominator),
+                      valuation(unit, p)) for lam, unit in units]
 
     return _lru(_LAMBDA_TERMS, (n, mu.q, mu.k % 2), _LAMBDA_TERMS_MAX, make)
 

@@ -630,8 +630,9 @@ def cache_sizes():
     """Entries held by the process-wide caches, which grow until
     clear_caches() empties them: coefficient-engine states over every n,
     expanded determinants, brick-filling weights, and the two bounded
-    memos of the dominance certificate, row fills and lambda-level
-    terms."""
+    memos of the dominance certificate: row fills, one entry per
+    (brick tuple, n) holding its splits for every row length, and
+    lambda-level terms."""
     return {"engine_states": sum(len(e.memo) for e in _ENGINES.values()),
             "expanded_determinants": len(_EXPAND_CACHE),
             "filling_weights": len(_W_MEMO),
@@ -709,6 +710,13 @@ def det_table(n):
     SPOT_CHECKS terms drawn with random.Random(n) are then recomputed by
     the literal per-partition sum of det_coeff_er_terms, and a
     difference raises RouteDisagreement naming n and b."""
+    return _det_table(n, None)
+
+
+def _det_table(n, terms):
+    # det_table(n); when terms is a list, the walk also appends to it each
+    # term's exponent tuple, in table order, so a caller that needs both
+    # walks the terms once
     if n < 1:
         raise ValueError("n must be positive")
     size = p_count(n)
@@ -726,6 +734,8 @@ def det_table(n):
             for image, negate in images:
                 pending[image(b)] = ~code if negate else code
         codes.append(code)
+        if terms is not None:
+            terms.append(b)
         if i in picked:
             picked[i] = b
     table = [values[k] if k >= 0 else -values[~k] for k in codes]

@@ -33,15 +33,21 @@ from .circulant import det_coeff_er, hall_admissible
 
 
 class ClassRecord:
-    """One class's contribution inside a DominanceReport."""
+    """One class's contribution inside a DominanceReport: its lambda's
+    term at weight 1 times the class's weight."""
 
-    __slots__ = ("lam", "filling_class", "contribution", "valuation")
+    __slots__ = ("lam", "filling_class", "unit", "weight", "valuation")
 
-    def __init__(self, lam, filling_class, contribution, valuation_):
+    def __init__(self, lam, filling_class, unit, weight, valuation_):
         self.lam = lam
         self.filling_class = filling_class
-        self.contribution = contribution
+        self.unit = unit
+        self.weight = weight
         self.valuation = valuation_
+
+    @property
+    def contribution(self):
+        return self.unit * self.weight
 
     def __repr__(self):
         return (f"ClassRecord({self.lam.parts}, {self.contribution}, "
@@ -146,25 +152,26 @@ def dominance_check(b, n, coefficient=None):
     base = q_class_contribution(b)
     v_base = valuation(base, p)
     records = []
-    total = Fraction(0)
+    den, lambda_terms = _lambda_terms(mu, n, p)
+    # the sum of every contribution, times den, in integers
+    total = 0
     passed = True
-    for lam, unit, v_unit in _lambda_terms(mu, n, p):
+    for lam, unit, num, v_unit in lambda_terms:
         weights = 0
-        for fc, weight in _class_walk(lam, mu, _FILLS):
-            contrib = unit * weight
+        for fc, weight in _class_walk(lam, mu, _FILLS, n):
             v = v_unit + valuation(weight, p)
-            records.append(ClassRecord(lam, fc, contrib, v))
+            records.append(ClassRecord(lam, fc, unit, weight, v))
             weights += weight
             if lam.parts == (q,):
-                if contrib != base:
+                if num * weight != base * den:
                     raise RuntimeError("base class does not match "
                                        "q_class_contribution")
             elif v <= v_base:
                 passed = False
-        total += unit * weights
+        total += num * weights
     if coefficient is None:
         coefficient = det_coeff_er(b)
-    if total != coefficient:
+    if total != coefficient * den:
         raise RuntimeError("class contributions do not sum to the coefficient")
     return DominanceReport(n, b, p, r, v_base, records, passed)
 

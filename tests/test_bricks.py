@@ -263,25 +263,35 @@ class TestOracleHelpers:
 
 class TestRowFills:
     def test_matches_sub_multisets_oracle(self):
-        for mass in range(9):
+        # one walk per (bricks, step) lists every row whose mass is a
+        # positive multiple of step, up to cap, grouped by mass
+        for mass in range(1, 9):
             for mu in partitions_of(mass):
                 bricks = mu.parts
-                for target in range(mass + 1):
-                    fills = _row_fills(bricks, target)
-                    rows = [row for row, _, _ in fills]
-                    expected = {tuple(sorted(sub, reverse=True))
-                                for sub in sub_multisets(Counter(bricks),
-                                                         target)}
-                    assert set(rows) == expected
-                    for row, rest, alpha in fills:
-                        assert row == tuple(sorted(row, reverse=True))
-                        assert rest == tuple(sorted(rest, reverse=True))
-                        assert (Counter(row) + Counter(rest)
-                                == Counter(bricks))
-                        assert alpha == tuple(
-                            row.count(s) for s in sorted(set(row),
-                                                         reverse=True))
-                    assert all(a > b for a, b in zip(rows, rows[1:]))
+                for step in range(1, mass + 1):
+                    by_mass = _row_fills(bricks, step, mass)
+                    assert len(by_mass) == mass // step
+                    for i, fills in enumerate(by_mass):
+                        m = (i + 1) * step
+                        rows = [row for row, _, _ in fills]
+                        expected = {tuple(sorted(sub, reverse=True))
+                                    for sub in sub_multisets(Counter(bricks),
+                                                             m)}
+                        assert set(rows) == expected
+                        assert len(rows) == len(expected)
+                        for row, rest, weight in fills:
+                            assert row == tuple(sorted(row, reverse=True))
+                            assert rest == tuple(sorted(rest, reverse=True))
+                            assert (Counter(row) + Counter(rest)
+                                    == Counter(bricks))
+                            assert weight == row_weight_sum(
+                                m, BrickMultiset.from_lengths(row))
+                        assert all(a > b for a, b in zip(rows, rows[1:]))
+                    # by default the proper sub-multisets; capped lower,
+                    # the walk keeps the buckets up to the cap
+                    assert _row_fills(bricks, step) == \
+                        by_mass[:(mass - 1) // step]
+                    assert _row_fills(bricks, step, step) == by_mass[:1]
 
     def test_memo_states_of_m2p_8(self):
         clear_caches()

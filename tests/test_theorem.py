@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,59 @@ class TestSharedRowFillMemo:
         assert len(forward) == 810
         assert backward == forward
         assert evicting == forward
+
+    def test_one_walk_per_brick_tuple(self, monkeypatch):
+        # with nothing evicted, each (bricks, n) is walked once, for every
+        # row length at once, and never for a last row, which takes every
+        # brick left: a walked tuple holds at least two rows of n
+        terms = permanent_terms(8)
+        clear_caches()
+        bounded = self._reports(8, terms)
+        clear_caches()
+        coeffs = det_table(8)
+        walked = []
+        walk = bricks._row_fills
+
+        def counted(bricks_, step, cap=None):
+            walked.append((bricks_, step, cap))
+            return walk(bricks_, step, cap)
+
+        monkeypatch.setattr(bricks, "_FILLS_MAX", 10 ** 6)
+        monkeypatch.setattr(bricks, "_row_fills", counted)
+        reports = {}
+        for b, c in zip(terms, coeffs):
+            report = dominance_check(b, 8, c)
+            reports[b] = (report.passed, report.q_class_valuation,
+                          report.other_valuations(),
+                          [rec.filling_class.rows
+                           for rec in report.class_records])
+        clear_caches()
+        assert walked
+        assert len(walked) == len(set(walked))
+        assert all(step == 8 and cap is None and sum(bricks_) >= 2 * step
+                   for bricks_, step, cap in walked)
+        assert reports == bounded
+
+
+class TestIntegerSum:
+    # dominance_check sums the lambda-level terms as integers over one
+    # common denominator; a coefficient off by one must still be caught,
+    # and each record must still give its class's exact contribution
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_off_by_one_is_caught(self, n):
+        terms = permanent_terms(n)
+        coeffs = det_table(n)
+        for i in random.Random(f"off-by-one-{n}").sample(range(len(terms)),
+                                                        12):
+            b, c = terms[i], coeffs[i]
+            for wrong in (c - 1, c + 1):
+                with pytest.raises(RuntimeError):
+                    dominance_check(b, n, wrong)
+            mu = b.mu()
+            for rec in dominance_check(b, n, c).class_records:
+                fc = FillingClass(rec.lam, mu, rec.filling_class.rows)
+                assert rec.contribution == class_contribution(fc, n)
 
 
 class TestLemmaCheck:
