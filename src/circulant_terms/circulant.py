@@ -12,15 +12,17 @@ Determinant coefficients come from three independent routes: the
 oracle, and the partition sum by the engine and term by term.
 
 * det_coeff_oracle: expand det(A) as a signed sum over permutations
-  and read off the coefficient.  One coefficient visits only the
-  permutations whose monomial is x^b, by a depth-first walk over the
-  rows that tries a column only while its variable has exponent left
-  to spend.  expand_det, the whole table at once, sweeps the (n-1)!
-  permutations with sigma(0) = 0 (rows and columns counted from 0):
-  the column shift tau_c(j) = j + c mod n maps them onto those with
-  sigma(0) = c, rotating each exponent vector by c and multiplying
-  each sign by sgn(tau_c) = (-1)^(c(n-1)).  Exact but factorial;
-  bounded at n <= 12.
+  and read off the coefficient.  One walk, _leibniz, fills the rows in
+  turn and merges the partial sums that have used the same columns and
+  have the same exponents left under a per-variable budget.  One
+  coefficient takes b as its budget, so only the permutations whose
+  monomial is x^b are summed.  expand_det, the whole table at once,
+  allows every variable n and fixes sigma(0) = 0 (rows and columns
+  counted from 0): the column shift tau_c(j) = j + c mod n maps those
+  permutations onto the ones with sigma(0) = c, rotating each exponent
+  vector by c and multiplying each sign by sgn(tau_c) = (-1)^(c(n-1)).
+  Exact; its states still grow exponentially, so it is bounded at
+  n <= 12.
 
 * det_coeff_er: det(A) equals, up to a global sign eps(n), the product
   of the circulant eigenvalues c_i = sum_j x_j xi^(ij) (xi a primitive
@@ -49,8 +51,8 @@ oracle, and the partition sum by the engine and term by term.
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
 independent of b.  sign_epsilon reads eps off the monomial x_1^n, which
-comes from a single permutation, so it needs no oracle sweep and works
-for any n; only |coefficients| matter for d(n).
+comes from a single permutation, so the oracle's walk for it holds one
+state per row and works for any n; only |coefficients| matter for d(n).
 """
 
 import random
@@ -309,164 +311,81 @@ def _count_lattice_points(n):
 
 
 # ---------------------------------------------------------------------------
-# oracle route: signed permutation sweep
+# oracle route: the signed Leibniz sum
 
 
-def _perm_sign(perm):
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if not seen[i]:
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-    return sign
+def _leibniz(n, budget, first=None):
+    """The Leibniz sum of det(A) over the permutations whose monomial x^a
+    has a <= budget entrywise, as {exponent tuple a: coefficient}, zero
+    sums included.  With `first` given, row 0 takes only that column,
+    so the sums over every `first` merge by addition to the whole.
 
-
-def _sweep(n, first=None, second=None):
-    """Sweep permutations with Heap's algorithm, tracking the sign (each
-    step is one transposition) and the monomial's exponent counts
-    incrementally.  With `first` given, only permutations with that value
-    in row 0 are visited, and with `second` as well, only those with that
-    value in row 1, so sweeps partition by their leading rows and partial
-    results merge by addition.  Returns {exponent tuple: coefficient}."""
-    # variable index (0-based) at cell (i, j), 0-based: x_((i+j+1) mod n + 1)
-    res = [[(i + j + 1) % n for j in range(n)] for i in range(n)]
-    fixed = [v for v in (first, second) if v is not None]
-    perm = fixed + [v for v in range(n) if v not in fixed]
-    sign = _perm_sign(perm)
-    counts = [0] * n
-    for i, v in enumerate(perm):
-        counts[res[i][v]] += 1
-    table = {tuple(counts): sign}
-    off = len(fixed)
-    m = n - off
-    c = [0] * m
-    i = 0
-    while i < m:
-        if c[i] < i:
-            j = 0 if i % 2 == 0 else c[i]
-            a, bpos = off + j, off + i
-            va, vb = perm[a], perm[bpos]
-            counts[res[a][va]] -= 1
-            counts[res[bpos][vb]] -= 1
-            perm[a], perm[bpos] = vb, va
-            counts[res[a][vb]] += 1
-            counts[res[bpos][va]] += 1
-            sign = -sign
-            key = tuple(counts)
-            table[key] = table.get(key, 0) + sign
-            c[i] += 1
-            i = 0
-        else:
-            c[i] = 0
-            i += 1
-    return table
-
-
-def _sweep_worker(args):
-    return _sweep(*args)
-
-
-def _pool_map(worker, tasks, jobs):
-    """[worker(task) for task in tasks], over at most `jobs` spawned
-    worker processes."""
-    from multiprocessing import get_context
-    with get_context("spawn").Pool(min(jobs, len(tasks))) as pool:
-        return pool.map(worker, tasks)
-
-
-def _fixed_row_sweep(n, jobs):
-    """_sweep(n, first=0), or with jobs > 1 the same (n-1)! permutations
-    split by the value in row 1 over that many worker processes."""
-    if jobs <= 1 or n < 3:
-        return _sweep(n, first=0)
-    table = {}
-    for part in _pool_map(_sweep_worker, [(n, 0, s) for s in range(1, n)],
-                          jobs):
-        for key, coeff in part.items():
-            table[key] = table.get(key, 0) + coeff
-    return table
-
-
-def _target_count(n, b, first=None):
-    """The Leibniz sum restricted to the permutations whose monomial is
-    x^b.  A depth-first walk fills rows 0..n-1 in turn; row i tries only
-    the free columns j whose variable, of 0-based index (i+j+1) mod n,
-    still has an unspent exponent in b.  Placing column j after an odd
-    number of greater columns flips the sign.  With `first` given, row 0
-    takes only that column.  The rows and the columns each sum to
-    n(n-1)/2, so a permutation's variable indices sum to 0 mod n; a b
-    whose weighted index sum is not 0 mod n returns 0 unwalked."""
-    left = list(b)
-    if sum(v * x for v, x in enumerate(left)) % n:
-        return 0
+    Rows 0..n-1 are filled in turn: column j in row i spends one
+    exponent of the variable of 0-based index (i+j+1) mod n, and placing
+    j after an odd number of greater used columns flips the sign.  The
+    partial sums are grouped by the bitmask of used columns, and within
+    a group keyed by the exponents left to spend, packed one field per
+    variable under a guard bit that a spend past the budget clears.
+    Each layer is popped while the next is built, and a used-column set
+    enters the next layer only with a state to hold."""
+    width = n.bit_length() + 1
+    guard = 1 << (width - 1)
+    units = [1 << (width * v) for v in range(n)]
     full = (1 << n) - 1
-
-    def walk(i, used, avail):
-        # avail: bitmask of the variables with an unspent exponent
-        if i == n:
-            return 1
-        s = (i + 1) % n
-        cols = ((avail >> s) | (avail << (n - s))) & ~used & full
-        if first is not None and not i:
-            cols &= 1 << first
-        total = 0
-        while cols:
-            low = cols & -cols
-            cols ^= low
-            j = low.bit_length() - 1
-            v = (i + j + 1) % n
-            left[v] -= 1
-            sub = walk(i + 1, used | low,
-                       avail if left[v] else avail & ~(1 << v))
-            left[v] += 1
-            if (used >> (j + 1)).bit_count() & 1:
-                total -= sub
-            else:
-                total += sub
-        return total
-
-    return walk(0, 0, sum(1 << v for v, x in enumerate(b) if x))
-
-
-def _target_worker(args):
-    return _target_count(*args)
+    layer = {0: {sum((guard + x) * u for x, u in zip(budget, units)): 1}}
+    for i in range(n):
+        grown = {}
+        while layer:
+            used, states = layer.popitem()
+            free = full & ~used
+            if first is not None and not i:
+                free &= 1 << first
+            while free:
+                low = free & -free
+                free ^= low
+                j = low.bit_length() - 1
+                unit = units[(i + j + 1) % n]
+                fence = guard * unit
+                odd = (used >> (j + 1)).bit_count() & 1
+                target = None
+                for key, coeff in states.items():
+                    key -= unit
+                    if key & fence:
+                        if target is None:
+                            target = grown.setdefault(used | low, {})
+                        target[key] = target.get(key, 0) + (
+                            -coeff if odd else coeff)
+        layer = grown
+    left = guard - 1
+    return {tuple(x - (key >> (width * v) & left)
+                  for v, x in enumerate(budget)): coeff
+            for states in layer.values() for key, coeff in states.items()}
 
 
 _EXPAND_CACHE = {}
 
 
-def det_coeff_oracle(b, jobs=1):
+def det_coeff_oracle(b):
     """The coefficient of x^b in det(A) by direct signed expansion;
-    exact, bounded at n <= 12.  Only the permutations whose monomial is
-    x^b are visited, by a depth-first walk over the rows that tries a
-    column only while its variable has exponent left to spend, tracking
-    the sign as it goes; with jobs > 1 the walk is split by row 0's
-    column over that many worker processes.  When expand_det(n) is
-    already cached, its entry is returned instead."""
+    exact, bounded at n <= 12.  _leibniz runs with b as its budget, so
+    only the permutations whose monomial is x^b are summed.  The rows
+    and the columns each sum to n(n-1)/2, so a permutation's variable
+    indices sum to 0 mod n; a b that is not Hall-admissible returns 0
+    unwalked."""
     n = b.n
     if n > ORACLE_MAX_N:
         raise ValueError("oracle bound exceeded")
-    cached = _EXPAND_CACHE.get(n)
-    if cached is not None:
-        return cached.coefficient(b)
-    if jobs <= 1:
-        return _target_count(n, b.b)
-    return sum(_pool_map(_target_worker, [(n, b.b, j) for j in range(n)],
-                         jobs))
+    if not hall_admissible(b):
+        return 0
+    return _leibniz(n, b.b).get(b.b, 0)
 
 
-def expand_det(n, jobs=1):
+def expand_det(n):
     """The fully expanded determinant as a TermTable (n <= 12), like
-    terms combined, zeros dropped.  The (n-1)! permutations with
-    sigma(0) = 0 are swept, and the column shift by c turns each of their
-    terms into one with exponents rotated by c and sign times (-1)^(c(n-1))."""
+    terms combined, zeros dropped.  _leibniz sums the permutations with
+    sigma(0) = 0 under a budget of n for every variable, and the column
+    shift by c turns each of their terms into one with exponents rotated
+    by c and sign times (-1)^(c(n-1))."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > ORACLE_MAX_N:
@@ -475,7 +394,7 @@ def expand_det(n, jobs=1):
     if cached is not None:
         return cached
     raw = {}
-    for key, coeff in _fixed_row_sweep(n, jobs).items():
+    for key, coeff in _leibniz(n, (n,) * n, first=0).items():
         for c in range(n):
             shifted = key[n - c:] + key[:n - c]
             raw[shifted] = raw.get(shifted, 0) + (-1) ** (c * (n - 1)) * coeff
@@ -766,13 +685,13 @@ def sign_epsilon(n):
     Read off at b = (n,0,...,0): the monomial x_1^n comes from exactly
     one permutation (in each row i the single entry equal to x_1 sits in
     column j with i+j = 1 mod n), so the oracle side is just that
-    permutation's sign and eps is O(n) to compute for any n."""
+    permutation's sign.  _leibniz with b as its budget reads it for any
+    n: each of its layers holds one state."""
     if n < 1:
         raise ValueError("n must be positive")
     b0 = ExponentVector(n, (n,) + (0,) * (n - 1))
     er = det_coeff_er(b0)
-    perm = [(n - 1 - i) % n for i in range(n)]
-    oracle = _perm_sign(perm)
+    oracle = _leibniz(n, b0.b)[b0.b]
     if er not in (1, -1):
         raise RuntimeError("unexpected coefficient at the probe monomial")
     return er * oracle

@@ -154,7 +154,7 @@ def cmd_table(args):
         rows.append({"n": str(n), "d": str(d), "p": str(p),
                      "equal": "true" if d == p else "false"})
         if n <= oracle_limit:
-            d_oracle = len(expand_det(n, jobs=args.jobs))
+            d_oracle = len(expand_det(n))
             if d_oracle != d:
                 diagnostics.append(
                     f"n={n}: d={d} by the partition sum but {d_oracle} "
@@ -188,7 +188,7 @@ def cmd_coeff(args):
     if args.method in ("er", "both"):
         row["coeff_er"] = str(det_coeff_er(b))
     if args.method in ("oracle", "both"):
-        row["coeff_oracle"] = str(det_coeff_oracle(b, jobs=args.jobs))
+        row["coeff_oracle"] = str(det_coeff_oracle(b))
     if args.method == "both":
         eps = sign_epsilon(args.n)
         row["sign_epsilon"] = f"{eps:+d}"
@@ -298,7 +298,7 @@ def _build_parser():
                          help="cross-check d against the expansion oracle "
                               "for n up to this bound (default 8)")
     p_table.add_argument("--jobs", type=_integer, default=1,
-                         help="worker processes for oracle sweeps")
+                         help="has no effect; kept for compatibility")
     p_table.set_defaults(func=cmd_table)
 
     p_coeff = sub.add_parser("coeff", parents=[common],
@@ -308,7 +308,7 @@ def _build_parser():
     p_coeff.add_argument("--method", choices=("er", "oracle", "both"),
                          default="er")
     p_coeff.add_argument("--jobs", type=_integer, default=1,
-                         help="worker processes for the oracle sweep")
+                         help="has no effect; kept for compatibility")
     p_coeff.set_defaults(func=cmd_coeff)
 
     p_verify = sub.add_parser("verify", parents=[common],

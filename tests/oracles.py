@@ -208,3 +208,27 @@ def newton_table(n):
     lexicographic order of permanent_terms(n): the whole-table route
     that det_table is pinned against."""
     return list(eigenvalue_product(n).values())
+
+
+def inversion_sign(perm):
+    """(-1)^(number of pairs i < j with perm[i] > perm[j])."""
+    inversions = sum(1 for i, a in enumerate(perm) for b in perm[i + 1:]
+                     if a > b)
+    return -1 if inversions % 2 else 1
+
+
+def leibniz_table(n):
+    """det(A) by the literal Leibniz sum over all n! permutations, n <= 8:
+    {exponent tuple: coefficient} over every monomial some permutation
+    reaches, zero sums included.  Row i and column j (from 0) hold the
+    variable of 0-based index (i+j+1) mod n."""
+    if n > 8:
+        raise ValueError("n! permutations: limited to n <= 8")
+    table = {}
+    for perm in permutations(range(n)):
+        counts = [0] * n
+        for i, j in enumerate(perm):
+            counts[(i + j + 1) % n] += 1
+        key = tuple(counts)
+        table[key] = table.get(key, 0) + inversion_sign(perm)
+    return table

@@ -1,14 +1,13 @@
 import hashlib
-import multiprocessing
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from oracles import (admissible_by_filter, affine_image, affine_maps,
-                     affine_orbits, newton_table, random_admissible)
+                     affine_orbits, inversion_sign, leibniz_table,
+                     newton_table, random_admissible)
 import circulant_terms.bricks as bricks
 import circulant_terms.circulant as circ
 from circulant_terms.circulant import (
@@ -195,45 +194,39 @@ class TestDetCoeffOracle:
     def test_inadmissible_gives_zero(self):
         assert det_coeff_oracle(ExponentVector(3, (2, 1, 0))) == 0
 
-    @staticmethod
-    def _walk_calls(b):
-        # the target count of b and the calls made to its inner walk;
-        # _target_count itself, since a cached expand_det(n) would
-        # answer det_coeff_oracle without walking
-        calls = []
-
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_name == "walk":
-                calls.append(1)
-
-        sys.setprofile(profile)
-        try:
-            value = circ._target_count(len(b), b)
-        finally:
-            sys.setprofile(None)
-        return value, len(calls)
-
-    def test_inadmissible_b_is_refused_before_the_walk(self):
+    def test_inadmissible_b_is_refused_before_the_walk(self, monkeypatch):
         # q = 78 is not 0 mod 12, yet every variable has exponent to
-        # spend, so an unchecked walk would visit millions of nodes
-        assert self._walk_calls((1,) * 12) == (0, 0)
-        value, calls = self._walk_calls((1, 1, 1))
-        assert value == 3 and calls > 0
+        # spend, so an unchecked walk would fill every column set
+        assert det_coeff_oracle(ExponentVector(3, (1, 1, 1))) == 3
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(circ, "_leibniz", no_walk)
+        assert det_coeff_oracle(ExponentVector(12, (1,) * 12)) == 0
+        with pytest.raises(AssertionError, match="walked"):
+            det_coeff_oracle(ExponentVector(3, (1, 1, 1)))
+
+    def test_probe_monomial_holds_one_state_per_layer(self):
+        # x_1^16 comes from one permutation; a walk that opened a layer
+        # entry for every free column before spending would hold tens of
+        # thousands of empty column sets here
+        n = 16
+        b0 = (n,) + (0,) * (n - 1)
+        tracemalloc.start()
+        try:
+            table = circ._leibniz(n, b0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table == {b0: inversion_sign([(n - 1 - i) % n
+                                             for i in range(n)])}
+        assert peak < 256 * 1024
 
     def test_bound_enforced(self):
         b = (13,) + (0,) * 12
         with pytest.raises(ValueError):
             det_coeff_oracle(ExponentVector(13, b))
-
-    def test_reads_a_cached_expansion(self, monkeypatch):
-        table = expand_det(8)
-
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("swept although expand_det(8) is cached")
-
-        monkeypatch.setattr(circ, "_sweep", no_sweep)
-        for ev in permanent_terms(8):
-            assert det_coeff_oracle(ev) == table.coefficient(ev), ev
 
     def test_uncached_sweep_matches_expansion(self):
         for n in range(1, 9):
@@ -244,12 +237,8 @@ class TestDetCoeffOracle:
                              for ev in permanent_terms(n)], n
 
     def test_walk_matches_engine_past_the_sweep(self, monkeypatch):
-        # no expansion cached and no sweep: the permutation walk answers
-        # alone, on unrestricted draws as well as at the edges
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("swept for a single coefficient")
-
-        monkeypatch.setattr(circ, "_sweep", no_sweep)
+        # no expansion cached: the permutation walk answers alone, on
+        # unrestricted draws as well as at the edges
         monkeypatch.setattr(circ, "_EXPAND_CACHE", {})
         rng = random.Random("pruned-oracle")
         for n in (10, 11, 12):
@@ -352,7 +341,7 @@ class TestDetCoeffEr:
                 b[k] = n
                 sigma = [(k - 1 - i) % n for i in range(n)]
                 assert det_coeff_er(ExponentVector(n, b)) == \
-                    sign_epsilon(n) * circ._perm_sign(sigma), (n, k)
+                    sign_epsilon(n) * inversion_sign(sigma), (n, k)
 
     def test_nonzero_count_at_6(self):
         zeros = [ev.b for ev in permanent_terms(6)
@@ -552,61 +541,19 @@ class TestSignEpsilon:
 
 class TestParallelSweep:
     def test_partitioned_sweep_merges_to_full(self):
+        # the walks for each column of row 0 add up to the n! sum
         for n in (4, 5):
-            full = circ._sweep(n)
             merged = {}
             for first in range(n):
-                for b, c in circ._sweep(n, first=first).items():
+                for b, c in circ._leibniz(n, (n,) * n, first).items():
                     merged[b] = merged.get(b, 0) + c
-            merged = {b: c for b, c in merged.items() if c}
-            assert merged == full
-
-    def test_oracle_jobs_equivalent(self):
-        ev = ExponentVector(5, (1, 0, 3, 0, 1))
-        assert det_coeff_oracle(ev, jobs=2) == det_coeff_oracle(ev, jobs=1)
-
-    def test_expand_jobs_equivalent(self):
-        serial = dict(expand_det(5).entries)
-        circ._EXPAND_CACHE.pop(5, None)
-        parallel = dict(expand_det(5, jobs=2).entries)
-        assert parallel == serial
-
-
-class InProcessContext:
-    """Stands in for multiprocessing.get_context(...): its Pool runs map
-    in this process and records the worker counts and tasks handed out."""
-
-    def __init__(self):
-        self.processes = []
-        self.handed = []
-
-    def Pool(self, processes):
-        self.processes.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, argses):
-        self.handed.extend(argses)
-        return [fn(args) for args in argses]
-
-
-@pytest.fixture
-def in_process_pool(monkeypatch):
-    context = InProcessContext()
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method: context)
-    return context
+            assert merged == leibniz_table(n)
 
 
 class TestColumnShift:
-    """expand_det sweeps only sigma(0) = 0; composing with the column
+    """expand_det sums only sigma(0) = 0; composing with the column
     shift by c rotates exponents by c and multiplies signs by
-    (-1)^(c(n-1)).  These tests pin that to the literal n! sweep."""
+    (-1)^(c(n-1)).  These tests pin that to the literal n! sum."""
 
     @staticmethod
     def nonzero(table):
@@ -615,50 +562,21 @@ class TestColumnShift:
     def test_shifted_fixed_row_sweep_is_the_full_sweep(self):
         for n in range(1, 9):
             shifted = {}
-            for key, coeff in circ._sweep(n, first=0).items():
+            for key, coeff in circ._leibniz(n, (n,) * n, first=0).items():
                 for c in range(n):
                     # the permutation tau_c o sigma puts x_(v+c) where
                     # sigma put x_v
                     rotated = tuple(key[(w - c) % n] for w in range(n))
                     sign = (-1) ** (c * (n - 1))
                     shifted[rotated] = shifted.get(rotated, 0) + sign * coeff
-            assert self.nonzero(shifted) == self.nonzero(circ._sweep(n)), n
+            assert self.nonzero(shifted) == \
+                self.nonzero(leibniz_table(n)), n
 
     def test_oracle_matches_full_sweep_on_every_key(self):
         for n in range(1, 8):
-            for key, coeff in circ._sweep(n).items():
+            for key, coeff in leibniz_table(n).items():
                 assert det_coeff_oracle(ExponentVector(n, key)) == coeff, \
                     (n, key)
-
-    def test_jobs_give_serial_results(self):
-        for n, keys in ((6, [(0, 1, 1, 2, 1, 1), (1, 0, 3, 0, 1, 1)]),
-                        (7, [(1, 1, 1, 1, 1, 1, 1), (0, 0, 2, 0, 5, 0, 0)])):
-            serial = dict(expand_det(n).entries)
-            circ._EXPAND_CACHE.pop(n, None)
-            assert dict(expand_det(n, jobs=2).entries) == serial
-            for key in keys:
-                ev = ExponentVector(n, key)
-                assert det_coeff_oracle(ev, jobs=2) == \
-                    det_coeff_oracle(ev, jobs=1) == serial.get(ev, 0)
-
-    def test_jobs_split_one_fixed_row_sweep(self, in_process_pool):
-        # the workers get row 1's n - 1 values under sigma(0) = 0, so
-        # together they visit (n-1)! permutations, as one serial sweep does
-        n = 7
-        table = circ._fixed_row_sweep(n, jobs=3)
-        assert in_process_pool.handed == [(n, 0, s) for s in range(1, n)]
-        assert self.nonzero(table) == self.nonzero(circ._sweep(n, first=0))
-
-    def test_jobs_split_the_walk_by_row_0(self, in_process_pool,
-                                          monkeypatch):
-        # one task per column of row 0, over at most min(jobs, n) workers
-        monkeypatch.setattr(circ, "_EXPAND_CACHE", {})
-        n = 7
-        ev = ExponentVector(n, (0, 2, 1, 0, 3, 1, 0))
-        assert det_coeff_oracle(ev, jobs=3) == det_coeff_oracle(ev) == \
-            expand_det(n).coefficient(ev) != 0
-        assert in_process_pool.processes == [3]
-        assert in_process_pool.handed == [(n, ev.b, j) for j in range(n)]
 
 
 class TestCaches:

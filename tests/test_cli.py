@@ -239,6 +239,9 @@ class TestOrbitDigests:
          "48d2e5751b808d71bf0ee2ae0c98eeda94c78f481afefbd2e68272d9a5821e74"),
         ("table --max-n 12 --jobs 1",
          "2328b991be423f5e2406467b3f45d3ee745f58a3e70c420c5aaee06a26ec8be1"),
+        # the permutation oracle confirms every d(n) up to 12
+        ("table --max-n 12 --oracle-max 12",
+         "2328b991be423f5e2406467b3f45d3ee745f58a3e70c420c5aaee06a26ec8be1"),
     ])
     def test_stdout_is_byte_identical(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv.split())
