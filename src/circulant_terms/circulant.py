@@ -156,14 +156,16 @@ def _residue_walk(n, total):
     """Yield every exponent tuple a of length n with sum(a) = total and
     sum(i*a_i) = 0 (mod n), in lexicographic order.
 
-    The last min(n, _TAIL) exponents are listed once per call, bottom-up:
+    The last _TAIL exponents are listed once per call, bottom-up:
     tails[(r, res)] holds, in lexicographic order, their tuples that
-    spend degree r and make up residue res.  The first n - _TAIL
-    variables are walked in order x_1, x_2, ... on one explicit stack,
-    pruned by a suffix table of the residues mod n the remaining
-    variables can still reach for each remaining degree, so every
-    prefix reached has a nonempty tail list; each prefix yields itself
-    joined to every tuple of its list."""
+    spend degree r and make up residue res.  For n <= _TAIL the tail is
+    x_n alone: a tail of all n exponents would be read at (total, 0)
+    only, yet built for every degree and residue.  The other variables
+    are walked in order x_1, x_2, ... on one explicit stack, pruned by a
+    suffix table of the residues mod n the remaining variables can still
+    reach for each remaining degree, so every prefix reached has a
+    nonempty tail list; each prefix yields itself joined to every tuple
+    of its list."""
     full = (1 << n) - 1
     # reach[i][r]: bitmask of residues sum((j+1)*a_j for j >= i) mod n
     # over the ways to spend degree r on variables i+1..n (1-based)
@@ -180,7 +182,7 @@ def _residue_walk(n, total):
                     s = (w * a) % n
                     mask |= ((m << s) | (m >> (n - s))) & full
             row[r] = mask
-    k = max(n - _TAIL, 0)
+    k = n - _TAIL if n > _TAIL else n - 1
     # x_n has weight 0 mod n; each earlier tail variable goes in front,
     # by increasing exponent, so every list stays lexicographic
     tails = {(r, 0): [(r,)] for r in range(total + 1)}

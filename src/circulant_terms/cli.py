@@ -10,13 +10,13 @@ Exit codes: 0 success/consistent, 1 usage, validation or output error, 2 an
 internal cross-check caught an inconsistency.
 """
 
-import argparse
 import csv
 import io
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .exactmath import prime_power
 from .partitions import partitions_of
@@ -50,15 +50,8 @@ class _OutputError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
-
-    def _parse_optional(self, arg_string):
-        # no option starts with a digit: -1,2,2 is a value, not an option
-        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
-            return None
-        return super()._parse_optional(arg_string)
+class _Help(Exception):
+    """-h or --help: its argument is the help text to print."""
 
 
 def _integer(text):
@@ -67,7 +60,7 @@ def _integer(text):
     and non-ASCII digits."""
     digits = text.strip(" ").removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+        raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
 
@@ -178,7 +171,7 @@ def cmd_coeff(args):
         raise ValueError(f"coeff bound exceeded (n <= {COEFF_MAX_N})")
     try:
         exponents = [_integer(tok) for tok in args.b.split(",")]
-    except argparse.ArgumentTypeError:
+    except ValueError:
         raise _UsageError("b must be comma-separated integers") from None
     b = ExponentVector(args.n, exponents)
     if args.method != "er" and args.n > ORACLE_MAX_N:
@@ -278,64 +271,212 @@ def cmd_m2p(args):
     return 0
 
 
-def _build_parser():
-    parser = _Parser(prog="circulant-terms",
-                     description="Exact term counts and coefficients for "
-                                 "determinants and permanents of generic "
-                                 "circulant matrices.")
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-    common.add_argument("--out", metavar="FILE", default=None,
-                        help="write data rows to FILE instead of stdout")
-    sub = parser.add_subparsers(dest="command", required=True)
+PROG = "circulant-terms"
+DESCRIPTION = ("Exact term counts and coefficients for determinants and "
+               "permanents of generic circulant matrices.")
 
-    p_table = sub.add_parser("table", parents=[common],
-                             help="term counts d(n), p(n) for n = 1..max-n")
-    p_table.add_argument("--max-n", type=_integer, default=8, dest="max_n")
-    p_table.add_argument("--oracle-max", type=_integer, default=8,
-                         dest="oracle_max",
-                         help="cross-check d against the expansion oracle "
-                              "for n up to this bound (default 8)")
-    p_table.add_argument("--jobs", type=_integer, default=1,
-                         help="has no effect; kept for compatibility")
-    p_table.set_defaults(func=cmd_table)
+# command: (handler, help, positionals), each positional (dest,
+# converter, help)
+COMMANDS = {
+    "table": (cmd_table, "term counts d(n), p(n) for n = 1..max-n", ()),
+    "coeff": (cmd_coeff, "coefficient of x^b in det(A)",
+              (("n", _integer, "matrix size"),
+               ("b", str, "comma-separated exponents, e.g. 1,1,1"))),
+    "verify": (cmd_verify, "certify non-cancellation (prime powers) or list "
+                           "vanishing coefficients",
+               (("n", _integer, "matrix size"),)),
+    "m2p": (cmd_m2p, "monomial-to-power-sum transition matrix for degree q",
+            (("q", _integer, "degree"),)),
+}
 
-    p_coeff = sub.add_parser("coeff", parents=[common],
-                             help="coefficient of x^b in det(A)")
-    p_coeff.add_argument("n", type=_integer)
-    p_coeff.add_argument("b", help="comma-separated exponents, e.g. 1,1,1")
-    p_coeff.add_argument("--method", choices=("er", "oracle", "both"),
-                         default="er")
-    p_coeff.add_argument("--jobs", type=_integer, default=1,
-                         help="has no effect; kept for compatibility")
-    p_coeff.set_defaults(func=cmd_coeff)
 
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="certify non-cancellation (prime powers) "
-                                   "or list vanishing coefficients")
-    p_verify.add_argument("n", type=_integer)
-    p_verify.set_defaults(func=cmd_verify)
+class _Option:
+    """One row of OPTIONS: the commands that take the option, the
+    attribute it sets and its default, a converter that raises ValueError
+    with the reason it refuses a value, its help, and the values allowed
+    (None for any)."""
+    __slots__ = ("commands", "dest", "default", "convert", "help",
+                 "choices", "metavar")
 
-    p_m2p = sub.add_parser("m2p", parents=[common],
-                           help="monomial-to-power-sum transition matrix "
-                                "for degree q")
-    p_m2p.add_argument("q", type=_integer)
-    p_m2p.set_defaults(func=cmd_m2p)
-    return parser
+    def __init__(self, commands, dest, default, convert, help, choices=None,
+                 metavar="N"):
+        self.commands = commands
+        self.dest = dest
+        self.default = default
+        self.convert = convert
+        self.help = help
+        self.choices = choices
+        self.metavar = "{" + ",".join(choices) + "}" if choices else metavar
+
+
+OPTIONS = {
+    "--format": _Option(tuple(COMMANDS), "format", "csv", str,
+                        "output format (default csv)",
+                        choices=("csv", "json")),
+    "--out": _Option(tuple(COMMANDS), "out", None, str,
+                     "write data rows to FILE instead of stdout",
+                     metavar="FILE"),
+    "--max-n": _Option(("table",), "max_n", 8, _integer,
+                       f"largest n in the table, at most {VERIFY_MAX_N} "
+                       f"(default 8)"),
+    "--oracle-max": _Option(("table",), "oracle_max", 8, _integer,
+                            "cross-check d against the expansion oracle "
+                            "for n up to this bound (default 8)"),
+    "--jobs": _Option(("table", "coeff"), "jobs", 1, _integer,
+                      "has no effect; kept for compatibility"),
+    "--method": _Option(("coeff",), "method", "er", str,
+                        "coefficient route (default er)",
+                        choices=("er", "oracle", "both")),
+}
+
+_HELP_NAMES = ("-h", "--help")
+
+
+def _usage(command):
+    return " ".join(
+        [PROG, command]
+        + [f"[{name} {option.metavar}]" for name, option in OPTIONS.items()
+           if command in option.commands]
+        + [dest for dest, _, _ in COMMANDS[command][2]])
+
+
+def _help(command=None):
+    """The help text of one command, or with none, of the program."""
+    names = list(COMMANDS) if command is None else [command]
+    if command is None:
+        about = DESCRIPTION
+        first = ("commands", [(name, COMMANDS[name][1]) for name in names])
+    else:
+        about = COMMANDS[command][1]
+        first = ("arguments", [(dest, text)
+                               for dest, _, text in COMMANDS[command][2]])
+    options = [(f"{name} {option.metavar}", option.help)
+               for name, option in OPTIONS.items()
+               if command is None or command in option.commands]
+    options.append((", ".join(_HELP_NAMES), "show this help and exit"))
+    sections = (first, ("options", options))
+    width = max(len(left) for _, items in sections for left, _ in items) + 2
+    lines = ["usage: " + "\n       ".join(map(_usage, names)), "", about]
+    for title, items in sections:
+        if items:
+            lines += ["", f"{title}:"]
+            lines += [f"  {left:<{width}}{text}" for left, text in items]
+    return "\n".join(lines) + "\n"
+
+
+def _option(token, names, prog):
+    """(name, explicit value or None) for a token that is an option, with
+    a unique prefix expanded; None for a token that is a value: one not
+    starting with "-", "-" itself, "-" then a digit (so -1,2,2 is a value)
+    or, unless it names an option, one holding a space.  An unknown option
+    comes back as (token, None)."""
+    if token[:1] != "-" or token == "-" or token[1:2].isdigit():
+        return None
+    name, eq, value = token.partition("=")
+    if name not in names and name.startswith("--"):
+        matches = [known for known in names if known.startswith(name)]
+        if len(matches) > 1:
+            raise _UsageError(f"{prog}: error: ambiguous option: {token} "
+                              f"could match {', '.join(matches)}")
+        if matches:
+            name = matches[0]
+    if name in names:
+        return name, (value if eq else None)
+    return None if " " in token else (token, None)
+
+
+def _convert(prog, name, convert, choices, text):
+    try:
+        value = convert(text)
+    except ValueError as exc:
+        raise _UsageError(f"{prog}: error: argument {name}: {exc}") from None
+    if choices is not None and value not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _UsageError(f"{prog}: error: argument {name}: invalid choice: "
+                          f"{value!r} (choose from {listed})")
+    return value
+
+
+def _parse(argv):
+    """The handler and the arguments for argv, read by COMMANDS and
+    OPTIONS: the command first, then its options and positionals in any
+    order, "--" ending the options.  Raises _Help for -h or --help and
+    _UsageError for anything else it cannot take."""
+    if not argv:
+        raise _UsageError(f"{PROG}: error: the following arguments are "
+                          f"required: command")
+    command = argv[0]
+    if command not in COMMANDS:
+        if command == "-h" or len(command) > 2 and \
+                "--help".startswith(command):
+            raise _Help(_help())
+        listed = ", ".join(map(repr, COMMANDS))
+        raise _UsageError(f"{PROG}: error: argument command: invalid "
+                          f"choice: {command!r} (choose from {listed})")
+    handler, _, positionals = COMMANDS[command]
+    prog = f"{PROG} {command}"
+    options = {name: option for name, option in OPTIONS.items()
+               if command in option.commands}
+    names = _HELP_NAMES + tuple(options)
+    args = SimpleNamespace(**{option.dest: option.default
+                              for option in options.values()})
+    pending = iter(positionals)
+    extras = []
+    ended = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--" and not ended:
+            ended = True
+            continue
+        found = None if ended else _option(token, names, prog)
+        if found is None:
+            spec = next(pending, None)
+            if spec is None:
+                extras.append(token)
+            else:
+                dest, convert, _ = spec
+                setattr(args, dest, _convert(prog, dest, convert, None, token))
+        elif found[0] in _HELP_NAMES:
+            if found[1] is not None:
+                raise _UsageError(f"{prog}: error: argument -h/--help: "
+                                  f"ignored explicit argument {found[1]!r}")
+            raise _Help(_help(command))
+        elif found[0] not in options:
+            extras.append(token)
+        else:
+            name, value = found
+            if value is None:
+                value = next(tokens, None)
+                if value is None or value == "--" or \
+                        _option(value, names, prog) is not None:
+                    raise _UsageError(f"{prog}: error: argument {name}: "
+                                      f"expected one argument")
+            option = options[name]
+            setattr(args, option.dest, _convert(prog, name, option.convert,
+                                                option.choices, value))
+    missing = [dest for dest, _, _ in pending]
+    if missing:
+        raise _UsageError(f"{prog}: error: the following arguments are "
+                          f"required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"{prog}: error: unrecognized arguments: "
+                          f"{' '.join(extras)}")
+    return handler, args
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Help as exc:
+        sys.stdout.write(exc.args[0])
+        return 0
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     try:
         if args.out is not None:
             _check_destination(args.out)
-        return args.func(args)
+        return handler(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -351,7 +492,6 @@ def main(argv=None):
         traceback.print_exc()
         print("internal inconsistency detected", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

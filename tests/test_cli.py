@@ -308,8 +308,8 @@ class TestCoeff:
         ["coeff", "--method", "oracle", "3", "-1,2,2"],
     ])
     def test_leading_minus_reaches_exponent_check(self, capsys, argv):
-        # argparse alone takes -1,2,2 for an unknown option and reports
-        # b as missing
+        # a parser that reads every leading "-" as an option takes -1,2,2
+        # for an unknown option and reports b as missing
         assert run(capsys, argv) == (
             1, "", "error: exponents must be non-negative\n")
 
@@ -496,6 +496,48 @@ class TestParser:
         assert subprocess.run([sys.executable, "-S", "-c", code],
                               env=env).returncode == 0
 
+    def test_argparse_and_locale_not_imported(self):
+        # argparse's first gettext lookup imports locale, and building its
+        # parsers cost more than a small coeff query
+        code = ("import sys; from circulant_terms import cli; "
+                "cli.main(['coeff', '5', '1,1,1,1,1']); "
+                "sys.exit(bool({'argparse', 'locale'} & set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == \
+            (0, 'n,b,coeff_er\n5,"1,1,1,1,1",-5\n')
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--max-n=3"], ["table", "--max", "3"],
+        ["table", "--max=3"], ["table", "--max-n", "5", "--max-n", "3"],
+        ["table", "--format", "json", "--max-n", "3", "--format", "csv"],
+    ])
+    def test_prefix_equals_and_repeats(self, capsys, argv):
+        assert run(capsys, argv) == run(capsys, ["table", "--max-n", "3"])
+
+    @pytest.mark.parametrize("argv, message", [
+        (["table", "--o", "3"],
+         "ambiguous option: --o could match --out, --oracle-max"),
+        (["table", "--max-n"], "argument --max-n: expected one argument"),
+        (["table", "--max-n", "--format", "csv"],
+         "argument --max-n: expected one argument"),
+        (["table", "--format", "xml"], "argument --format: invalid choice: "
+                                       "'xml' (choose from 'csv', 'json')"),
+        (["coeff", "3"], "the following arguments are required: b"),
+        (["verify", "4", "--jobs", "1"],
+         "unrecognized arguments: --jobs 1"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        command = argv[0]
+        assert run(capsys, argv) == (
+            1, "", f"circulant-terms {command}: error: {message}\n")
+
+    def test_options_between_positionals(self, capsys):
+        assert run(capsys, ["coeff", "3", "--method", "both", "1,1,1"]) == \
+            run(capsys, ["coeff", "3", "1,1,1", "--method=both"])
+
     def test_internal_error_exits_2(self, capsys, monkeypatch):
         def boom(n, method="formula"):
             raise RuntimeError("synthetic failure")
@@ -504,3 +546,45 @@ class TestParser:
         code, _, err = run(capsys, ["table", "--max-n", "2"])
         assert code == 2
         assert "internal inconsistency detected" in err
+
+
+def run_module(*argv):
+    """python -m circulant_terms ARGV in a fresh process."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "circulant_terms", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+class TestEntryPoint:
+    COMMANDS = ("table", "coeff", "verify", "m2p")
+    OPTIONS = ("--format", "--out", "--max-n", "--oracle-max", "--jobs",
+               "--method", "--help")
+
+    def test_matches_main(self, capsys):
+        proc = run_module("table", "--max-n", "4")
+        code, out, _ = run(capsys, ["table", "--max-n", "4"])
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert code == 0
+        assert out.splitlines()[-1] == "4,10,10,true"
+
+    def test_no_arguments(self):
+        proc = run_module()
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == ("circulant-terms: error: the following "
+                               "arguments are required: command\n")
+
+    def test_help_names_every_command_and_option(self):
+        proc = run_module("--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        for word in self.COMMANDS + self.OPTIONS:
+            assert word in proc.stdout
+
+    def test_command_help_names_its_arguments(self):
+        proc = run_module("coeff", "--help")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: circulant-terms coeff ")
+        for word in ("--format", "--out", "--jobs", "--method", "--help",
+                     " n ", " b "):
+            assert word in proc.stdout
+        assert "--max-n" not in proc.stdout
