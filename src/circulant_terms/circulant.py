@@ -58,7 +58,7 @@ state per row and works for any n; only |coefficients| matter for d(n).
 import random
 from itertools import combinations
 from math import comb, factorial, gcd
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .exactmath import euler_phi, divisors
 from .partitions import Partition, partitions_of
@@ -319,7 +319,7 @@ def _count_lattice_points(n):
 def _leibniz(n, budget, first=None):
     """The Leibniz sum of det(A) over the permutations whose monomial x^a
     has a <= budget entrywise, as {exponent tuple a: coefficient}, zero
-    sums included.  With `first` given, row 0 takes only that column,
+    sums omitted.  With `first` given, row 0 takes only that column,
     so the sums over every `first` merge by addition to the whole.
 
     Rows 0..n-1 are filled in turn: column j in row i spends one
@@ -328,8 +328,9 @@ def _leibniz(n, budget, first=None):
     partial sums are grouped by the bitmask of used columns, and within
     a group keyed by the exponents left to spend, packed one field per
     variable under a guard bit that a spend past the budget clears.
-    Each layer is popped while the next is built, and a used-column set
-    enters the next layer only with a state to hold."""
+    Each layer is popped while the next is built; a popped state whose
+    sum has cancelled to 0 is not extended, and a used-column set enters
+    the next layer only with a state to hold."""
     width = n.bit_length() + 1
     guard = 1 << (width - 1)
     units = [1 << (width * v) for v in range(n)]
@@ -352,7 +353,9 @@ def _leibniz(n, budget, first=None):
                 target = None
                 for key, coeff in states.items():
                     key -= unit
-                    if key & fence:
+                    # a sum that has cancelled to 0 adds 0 to every later
+                    # state, so it goes no further
+                    if key & fence and coeff:
                         if target is None:
                             target = grown.setdefault(used | low, {})
                         target[key] = target.get(key, 0) + (
@@ -361,7 +364,8 @@ def _leibniz(n, budget, first=None):
     left = guard - 1
     return {tuple(x - (key >> (width * v) & left)
                   for v, x in enumerate(budget)): coeff
-            for states in layer.values() for key, coeff in states.items()}
+            for states in layer.values() for key, coeff in states.items()
+            if coeff}
 
 
 _EXPAND_CACHE = {}
@@ -439,6 +443,13 @@ class _Engine:
     which forces the length-1 count mod n in one step: sum(b) = n leaves
     at most n-1 length-1 bricks besides the anchor.  The memoized
     states, and their order, are those of the full walk.
+
+    Each state reads only the lengths its query holds: coeff lists the
+    lengths b holds once, largest first, and passes the list down, so a
+    state decodes just those fields of its key.  Every state below b
+    holds a sub-multiset of b's bricks, so a state memoized under one
+    query is also right for any other query that reaches it.  h is
+    entered only for a key not yet memoized.
     """
 
     def __init__(self, n):
@@ -449,47 +460,67 @@ class _Engine:
         self.fact = fact
         # weight of one block of r bricks
         self.block_weight = [0] + [-n * fact[r - 1] for r in range(1, n + 1)]
-        self.binom = [[comb(c, a) for a in range(c + 1)] for c in range(n + 1)]
+        # rows of Pascal's triangle: binom[c][a] = C(c, a)
+        binom = [[1]]
+        for _ in range(n):
+            row = binom[-1]
+            binom.append([1, *map(add, row, row[1:]), 1])
+        self.binom = binom
         self.full = (1 << n) - 1
 
     def coeff(self, b):
         n = self.n
-        q = sum((i + 1) * x for i, x in enumerate(b))
+        powers = self.powers
+        fact = self.fact
+        # (length, key step) of each length b holds, largest first; every
+        # state below b holds a sub-multiset of its bricks
+        occupied = []
+        q = key = 0
+        den = 1
+        for i in range(n - 1, -1, -1):
+            x = b[i]
+            if x:
+                q += (i + 1) * x
+                key += x * powers[i]
+                den *= fact[x]
+                occupied.append((i + 1, powers[i]))
         if q % n:
             return 0
-        key = 0
-        for i, x in enumerate(b):
-            key += x * self.powers[i]
-        num = self.h(key)
+        num = self.memo.get(key)
+        if num is None:
+            num = self.h(key, occupied)
         if n % 2:
             num = -num
-        den = 1
-        for x in b:
-            den *= self.fact[x]
         val, rem = divmod(num, den)
         if rem:
             raise RuntimeError("coefficient is not an integer")
         return val
 
-    def h(self, key):
-        memo = self.memo
-        val = memo.get(key)
-        if val is not None:
-            return val
+    def h(self, key, occupied):
+        # entered only for a key not yet in the memo
         n = self.n
-        powers = self.powers
-        counts = [key // p % (n + 1) for p in powers]
-        top = n - 1
-        while not counts[top]:
-            top -= 1
-        # one brick of the largest length anchors the block
-        counts[top] -= 1
-        c1 = counts[0]
+        base = n + 1
+        memo = self.memo
         binom = self.binom
         full = self.full
-        # (size, key step, binomial row) of each occupied length above 1
-        levels = [(i + 1, powers[i], binom[counts[i]])
-                  for i in range(top, 0, -1) if counts[i]]
+        # the partial blocks (length-sum, key left, bricks, ways) start
+        # from one brick of the largest length the state holds, the
+        # anchor; levels holds (size, key step, binomial row) of each
+        # other length above 1
+        blocks = None
+        levels = []
+        c1 = 0
+        for size, step in occupied:
+            count = key // step % base
+            if not count:
+                continue
+            if blocks is None:
+                blocks = [(size, key - step, 1, 1)]
+                count -= 1
+            if size == 1:
+                c1 = count
+            elif count:
+                levels.append((size, step, binom[count]))
         depth = len(levels)
         # reach[k]: bitmask of the residues mod n that levels[k:] and the
         # length-1 bricks can still add to the block; only 1..depth-1 read
@@ -502,8 +533,6 @@ class _Engine:
                 t = size * a % n
                 mask |= ((m << t) | (m >> (n - t))) & full
             reach[k] = mask
-        # partial blocks (length-sum, key left, bricks, ways)
-        blocks = [(top + 1, key - powers[top], 1, 1)]
         for k in range(depth - 1):
             size, step, row = levels[k]
             below = reach[k + 1]
@@ -528,7 +557,7 @@ class _Engine:
                     sub = left - a1
                     val = memo.get(sub)
                     if val is None:
-                        val = self.h(sub)
+                        val = self.h(sub, occupied)
                     acc += ways * w * ones[a1] * block_weight[r + a1] * val
                 s += size
                 left -= step

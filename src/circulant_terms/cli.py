@@ -1,10 +1,10 @@
 """Command-line front end: reproducible tables, coefficients, and
 verification reports as CSV or JSON.
 
-Data rows go to stdout (or --out FILE); summaries and diagnostics go to
-stderr.  Every value is serialized as a decimal string (rationals as
-"num/den"), so no consumer ever sees a float, and identical invocations
-produce byte-identical output.
+Data rows go to stdout (or --out FILE; --out - is stdout); summaries and
+diagnostics go to stderr.  Every value is serialized as a decimal string
+(rationals as "num/den"), so no consumer ever sees a float, and identical
+invocations produce byte-identical output.
 
 Exit codes: 0 success/consistent, 1 usage, validation or output error, 2 an
 internal cross-check caught an inconsistency.
@@ -314,7 +314,8 @@ OPTIONS = {
                         "output format (default csv)",
                         choices=("csv", "json")),
     "--out": _Option(tuple(COMMANDS), "out", None, str,
-                     "write data rows to FILE instead of stdout",
+                     "write data rows to FILE instead of stdout "
+                     "(- is stdout)",
                      metavar="FILE"),
     "--max-n": _Option(("table",), "max_n", 8, _integer,
                        f"largest n in the table, at most {VERIFY_MAX_N} "
@@ -474,7 +475,10 @@ def main(argv=None):
         print(exc, file=sys.stderr)
         return 1
     try:
-        if args.out is not None:
+        if args.out == "-":
+            # the conventional name for stdout, not a file
+            args.out = None
+        elif args.out is not None:
             _check_destination(args.out)
         return handler(args)
     except _UsageError as exc:

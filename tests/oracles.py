@@ -42,6 +42,21 @@ def random_admissible(rng, n):
             return b
 
 
+def random_sparse_admissible(rng, n, k):
+    """A random admissible exponent tuple of length n with exactly k
+    nonzero exponents: k positions, then a composition of n into k
+    positive parts, redrawn until sum(i*b_i) = 0 (mod n).  Some n and k
+    admit no such tuple (k = 2 at prime n, k = n at even n), and the
+    draw would not end."""
+    while True:
+        cuts = sorted(rng.sample(range(1, n), k - 1))
+        b = [0] * n
+        for i, lo, hi in zip(rng.sample(range(n), k), [0] + cuts, cuts + [n]):
+            b[i] = hi - lo
+        if sum(i * x for i, x in enumerate(b, 1)) % n == 0:
+            return tuple(b)
+
+
 def affine_maps(n):
     """Every pair (u, c) with u a unit mod n and 0 <= c < n: the n*phi(n)
     substitutions x_j -> x_(u*j+c), subscripts mod n."""

@@ -2,12 +2,14 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from oracles import (admissible_by_filter, affine_image, affine_maps,
                      affine_orbits, inversion_sign, leibniz_table,
-                     newton_table, random_admissible)
+                     newton_table, random_admissible,
+                     random_sparse_admissible)
 import circulant_terms.bricks as bricks
 import circulant_terms.circulant as circ
 from circulant_terms.circulant import (
@@ -28,6 +30,7 @@ from circulant_terms.circulant import (
     sign_epsilon,
 )
 from circulant_terms.bricks import m_to_p_expansion
+from circulant_terms.cli import COEFF_MAX_N
 from circulant_terms.partitions import Partition
 from circulant_terms.theorem import dominance_check
 
@@ -371,6 +374,16 @@ class TestEngineBeyondOracle:
                 if n in (13, 16, 17, 19):
                     assert value != 0, b
 
+    def test_matches_literal_sum_up_to_the_coeff_cap(self):
+        # draws with 3 or 4 occupied lengths keep the literal sum to
+        # about 0.1 s per term at n <= 24
+        rng = random.Random("wide-sparse")
+        for n in range(20, COEFF_MAX_N + 1):
+            for k in (3, 3, 4, 4):
+                ev = ExponentVector(n, random_sparse_admissible(rng, n, k))
+                assert det_coeff_er(ev) == \
+                    sum(det_coeff_er_terms(ev).values()), ev
+
     def test_memo_states_pinned(self):
         # one cold query each, b drawn by random_admissible with
         # random.Random("engine-states"); the counts were measured with
@@ -409,6 +422,25 @@ class TestEngineMemo:
             digest.update(repr(list(circ._ENGINES[n].memo.items())).encode())
         assert digest.hexdigest() == (
             "1a5153fbe3a5459360b914dcb785c5a8536b59ec4c4686d4477baab5b8554626")
+
+    def test_binomial_rows(self):
+        for n in range(1, COEFF_MAX_N + 1):
+            assert circ._Engine(n).binom == [
+                [comb(c, a) for a in range(c + 1)] for c in range(n + 1)]
+
+    def test_shared_engine_matches_fresh_engines(self):
+        # each state reads only the lengths of the query that reached it,
+        # so a state memoized under a sparse query is read by a query
+        # holding every length, and the other way round
+        rng = random.Random("engine-supports")
+        for n in (13, 15):
+            shared = circ._Engine(n)
+            for b in (random_sparse_admissible(rng, n, 3), (1,) * n,
+                      random_sparse_admissible(rng, n, 3)):
+                fresh = circ._Engine(n)
+                assert shared.coeff(b) == fresh.coeff(b), (n, b)
+                for key, val in fresh.memo.items():
+                    assert shared.memo[key] == val, (n, b)
 
 
 class TestDCount:

@@ -148,6 +148,16 @@ class TestOut:
         assert path.read_text() == direct
         assert [p.name for p in tmp_path.iterdir()] == ["v.csv"]
 
+    @pytest.mark.parametrize("argv", [["verify", "4"],
+                                      ["table", "--max-n", "3",
+                                       "--format", "json"]])
+    def test_dash_is_stdout(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        direct = run(capsys, argv)
+        assert direct[0] == 0
+        assert run(capsys, argv + ["--out", "-"]) == direct
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     def test_pipe_is_written_not_replaced(self, capsys, tmp_path):
         # a rename over a pipe or device would replace it by a regular file
