@@ -19,8 +19,13 @@ equal-length rows; class totals have a closed form, class_weight_sum,
 that the dominance argument in the theorem module dissects prime by
 prime.  _er_term is the one home of the expansion's term, which the
 determinant's partition sum and the class contributions share.
+
+One walk, _sub_rows, lists a brick tuple's sub-multisets of mass a
+multiple of a step; from one such list _class_walk builds every class
+of every lambda whose parts are multiples of the step.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from random import Random
@@ -111,15 +116,14 @@ def _runs(seq):
     return [(value, seq.count(value)) for value in dict.fromkeys(seq)]
 
 
-def _row_fills(bricks, step, cap=None):
-    """The rows of a sorted-descending brick tuple by mass: item i lists,
-    as (row, rest, weight), every sub-multiset row of mass (i+1)*step,
-    rest being the bricks it leaves and weight its row weight, row and
-    rest sorted descending, in decreasing lexicographic order of row.
-    The masses run up to cap, by default every proper sub-multiset's.
-    One walk serves every row length: a suffix table of the residues mod
-    step that the remaining runs of equal bricks can still reach prunes
-    every branch that cannot end on a multiple of step."""
+def _sub_rows(bricks, step, cap):
+    """The sub-multisets of a sorted-descending brick tuple whose mass is
+    a positive multiple of step, up to cap, as (mass, row, rest, weight),
+    by mass descending, then row descending: rest is the bricks the row
+    leaves, both sorted descending, and weight its row weight.  A suffix
+    table of the residues mod step that the remaining runs of equal
+    bricks can still reach prunes every branch that cannot end on a
+    multiple of step."""
     runs = _runs(bricks)
     full = (1 << step) - 1
     # reach[i]: bitmask of the residues mod step of the masses of
@@ -133,11 +137,7 @@ def _row_fills(bricks, step, cap=None):
             shift = s * a % step
             mask |= ((nxt << shift) | (nxt >> (step - shift))) & full
         reach[i] = mask
-    if cap is None:
-        cap = sum(bricks) - 1
-    # partial rows (mass, row, rest, alpha) over the runs so far, in
-    # decreasing lexicographic order of row: each takes its run's
-    # bricks most first
+    # partial rows (mass, row, rest, alpha) over the runs so far
     partial = [(0, (), (), ())]
     for (s, count), nxt in zip(runs, reach[1:]):
         grown = []
@@ -148,42 +148,29 @@ def _row_fills(bricks, step, cap=None):
                     grown.append((m, row + (s,) * a, rest + (s,) * (count - a),
                                   alpha + (a,) if a else alpha))
         partial = grown
-    # a listed row's rest is listed too, unless cap leaves it out: the
-    # two share one tuple, which the memo holds once
-    rows = {row: row for _, row, _, _ in partial}
+    partial.sort(reverse=True)
+    partial.pop()   # the empty row, the only one of mass 0
+    return [(mass, row, rest, _row_weight(mass, alpha))
+            for mass, row, rest, alpha in partial]
+
+
+def _row_fills(bricks, step, cap=None):
+    """_sub_rows by mass: item i lists (row, rest, weight) for each row of
+    mass (i+1)*step, up to cap, by default every proper sub-multiset's."""
+    if cap is None:
+        cap = sum(bricks) - 1
     by_mass = [[] for _ in range(cap // step)]
-    for mass, row, rest, alpha in partial:
-        if mass:
-            by_mass[mass // step - 1].append(
-                (row, rows.get(rest, rest), _row_weight(mass, alpha)))
+    for mass, row, rest, weight in _sub_rows(bricks, step, cap):
+        by_mass[mass // step - 1].append((row, rest, weight))
     return tuple(map(tuple, by_mass))
 
 
 _W_MEMO = {}
 
-# LRU memos shared by every caller, each with an explicit entry bound:
-# _FILLS maps (bricks, step) to _row_fills(bricks, step), every row length
-# at once, and _LAMBDA_TERMS maps (n, q, k(mu) mod 2) to lambda-level terms.
-# Unbounded, the row-fill memo took verify 11 from 53 to 416 MB peak.  An
-# entry holds every row length of its tuple, so 448 of them take about
-# the memory that 512 entries of one row length each took in verify 8.
-_FILLS = {}
-_FILLS_MAX = 448
+# lambda-level terms keyed by (n, q, k(mu) mod 2), shared by every
+# caller; at the bound a miss first drops the least recently used entry
 _LAMBDA_TERMS = {}
 _LAMBDA_TERMS_MAX = 64
-
-
-def _lru(cache, key, limit, make):
-    """cache[key], made by make(*key) on a miss, and marked most recently
-    used; at the limit a miss first drops the least recently used entry.
-    A caller that holds a dropped value keeps it intact."""
-    value = cache.pop(key, None)
-    if value is None:
-        if len(cache) >= limit:
-            del cache[next(iter(cache))]
-        value = make(*key)
-    cache[key] = value
-    return value
 
 
 def filling_weight(lam, mu):
@@ -209,8 +196,7 @@ def _w(rows, bricks):
     if val is not None:
         return val
     total = 0
-    # capped at the row, the walk lists that one length; the shared
-    # by-mass memo would list every length and cost this recursion more
+    # capped at the row, the walk lists that one length
     for _, rest, weight in _row_fills(bricks, rows[0], rows[0])[0]:
         total += weight * _w(rows[1:], rest)
     _W_MEMO[key] = total
@@ -250,6 +236,7 @@ class FillingClass:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "rows", rows)
+        return self
 
     @property
     def r(self):
@@ -285,47 +272,44 @@ class FillingClass:
         return f"FillingClass({self.lam.parts}, rows={self.rows})"
 
 
-def _class_walk(lam, mu, fills, step=None):
-    """[(class, class_weight_sum)] for each class of fillings of lambda by
-    mu, once and canonical: a row as long as the one before takes no
-    larger brick tuple.  step, which must divide every part of lambda,
-    defaults to their gcd.  Each row but the last takes its splits from
-    fills, an LRU memo of at most _FILLS_MAX entries (_FILLS, or the
-    caller's own dict) holding _row_fills per (bricks, step); the last
-    row takes every brick left."""
-    parts = lam.parts
-    if not parts:
-        return [(FillingClass(lam, mu, ()), 1)]
-    last = len(parts) - 1
-    if step is None:
-        step = gcd(*parts)
+def _class_walk(bricks, step, masses=None):
+    """(lambda's parts, canonical rows, class_weight_sum) for each class of
+    fillings by a sorted-descending brick tuple of each lambda of two or
+    more parts, all multiples of step (and in masses, if given).  Rows
+    are _sub_rows entries taken in list order, one again only while its
+    bricks are left, so the classes come in the lexicographic order of
+    their entries' positions; the entry holding every brick left is
+    looked up."""
+    total = sum(bricks)
+    if total < 2 * step:
+        return []
+    # bricks packed as a count per run of equal bricks, one field each
+    # under a guard bit: a row fits in what is left when no field's guard
+    # clears on subtracting its key
+    width = len(bricks).bit_length() + 1
+    unit = {s: 1 << width * i for i, s in enumerate(dict.fromkeys(bricks))}
+    guards = sum(unit.values()) << width - 1
+    fills = [(mass, row, sum(map(unit.__getitem__, row)), w)
+             for mass, row, _, w in _sub_rows(bricks, step, total - 1)
+             if masses is None or mass in masses]
+    heavy = [-fill[0] for fill in fills]   # ascending, for bisect
+    last = {key + guards: i for i, (_, _, key, _) in enumerate(fills)}
     out = []
 
-    def close(rows, bricks, weight):
-        # the last row takes bricks, every brick left
-        rows += (bricks,)
-        fc = object.__new__(FillingClass)
-        fc._set(lam, mu, rows)
-        weight *= _row_weight(parts[last], [m for _, m in _runs(bricks)])
-        out.append((fc, _class_weight(parts, rows, weight)))
+    def descend(start, left, mass, parts, rows, weight):
+        i = last.get(left)
+        if i is not None and i >= start:
+            _, row, _, w = fills[i]
+            done = parts + (mass,), rows + (row,)
+            out.append((*done, _class_weight(*done, weight * w)))
+        # an entry as heavy as what is left holds all of it, found above
+        for i in range(bisect_right(heavy, -mass, start), len(fills)):
+            m, row, key, w = fills[i]
+            if left - key & guards == guards:
+                descend(i, left - key, mass - m, parts + (m,), rows + (row,),
+                        weight * w)
 
-    def descend(j, bricks, rows, weight):
-        same = j and parts[j] == parts[j - 1]
-        closing = j + 1 == last
-        same_last = closing and parts[last] == parts[j]
-        for row, rest, w in _lru(fills, (bricks, step), _FILLS_MAX,
-                                 _row_fills)[parts[j] // step - 1]:
-            if same and row > rows[-1]:
-                continue
-            if not closing:
-                descend(j + 1, rest, rows + (row,), weight * w)
-            elif not same_last or rest <= row:
-                close(rows + (row,), rest, weight * w)
-
-    if last:
-        descend(0, mu.parts, (), 1)
-    else:
-        close((), mu.parts, 1)
+    descend(0, guards + sum(map(unit.__getitem__, bricks)), total, (), (), 1)
     return out
 
 
@@ -334,7 +318,11 @@ def enumerate_filling_classes(lam, mu):
     unordered multiset of per-row brick multisets for each row length."""
     if lam.q != mu.q:
         raise ValueError("sizes differ")
-    return [fc for fc, _ in _class_walk(lam, mu, _FILLS)]
+    parts = lam.parts
+    walk = ([(parts, (mu.parts,) * lam.k, 1)] if lam.k < 2 else
+            _class_walk(mu.parts, gcd(*parts), set(parts)))
+    return [object.__new__(FillingClass)._set(lam, mu, rows)
+            for walked, rows, _ in walk if walked == parts]
 
 
 def class_weight_sum(fc):
@@ -372,17 +360,24 @@ def _er_term(mu, lam, weight, n):
 
 
 def _lambda_terms(mu, n, p):
-    """(den, [(lambda, unit, num, v_p(unit))]) for the lambdas of q(mu)
-    whose parts are multiples of n, unit being lambda's term at weight 1
-    and num its numerator over den, the one common denominator of them
-    all; it depends on mu only through q(mu) and the parity of k(mu)."""
-    def make(n, q, parity):
-        units = [(lam, _er_term(mu, lam, 1, n)) for lam in partitions_of(q, n)]
+    """(den, {lambda's parts: (lambda, unit, num, v_p(unit))}) for the
+    lambdas of q(mu) with parts multiples of n: unit is lambda's term at
+    weight 1, num its numerator over den, their one common denominator.
+    It depends on mu only through q(mu) and the parity of k(mu)."""
+    key = (n, mu.q, mu.k % 2)
+    value = _LAMBDA_TERMS.pop(key, None)
+    if value is None:
+        if len(_LAMBDA_TERMS) >= _LAMBDA_TERMS_MAX:
+            del _LAMBDA_TERMS[next(iter(_LAMBDA_TERMS))]
+        units = [(lam, _er_term(mu, lam, 1, n))
+                 for lam in partitions_of(mu.q, n)]
         den = lcm(*(unit.denominator for _, unit in units))
-        return den, [(lam, unit, unit.numerator * (den // unit.denominator),
-                      valuation(unit, p)) for lam, unit in units]
-
-    return _lru(_LAMBDA_TERMS, (n, mu.q, mu.k % 2), _LAMBDA_TERMS_MAX, make)
+        value = den, {lam.parts: (lam, unit,
+                                  unit.numerator * (den // unit.denominator),
+                                  valuation(unit, p))
+                      for lam, unit in units}
+    _LAMBDA_TERMS[key] = value
+    return value
 
 
 def _er_terms(mu, lams, n):

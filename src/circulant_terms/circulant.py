@@ -62,7 +62,7 @@ from operator import add, itemgetter
 
 from .exactmath import euler_phi, divisors
 from .partitions import Partition, partitions_of
-from .bricks import _FILLS, _LAMBDA_TERMS, _W_MEMO, _er_terms
+from .bricks import _LAMBDA_TERMS, _W_MEMO, _er_terms
 
 ORACLE_MAX_N = 12
 
@@ -579,14 +579,12 @@ def _engine(n):
 def cache_sizes():
     """Entries held by the process-wide caches, which grow until
     clear_caches() empties them: coefficient-engine states over every n,
-    expanded determinants, brick-filling weights, and the two bounded
-    memos of the dominance certificate: row fills, one entry per
-    (brick tuple, n) holding its splits for every row length, and
-    lambda-level terms."""
+    expanded determinants, brick-filling weights, and the dominance
+    certificate's lambda-level terms, at most 64 entries keyed by
+    (n, q, k(mu) mod 2); the certificate keeps no class or row."""
     return {"engine_states": sum(len(e.memo) for e in _ENGINES.values()),
             "expanded_determinants": len(_EXPAND_CACHE),
             "filling_weights": len(_W_MEMO),
-            "row_fills": len(_FILLS),
             "lambda_terms": len(_LAMBDA_TERMS)}
 
 
@@ -595,7 +593,6 @@ def clear_caches():
     _ENGINES.clear()
     _EXPAND_CACHE.clear()
     _W_MEMO.clear()
-    _FILLS.clear()
     _LAMBDA_TERMS.clear()
 
 

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from .exactmath import multinomial, prime_power, valuation
 from .partitions import factorial_of_partition
-from .bricks import (_FILLS, _class_walk, _er_term, _lambda_terms,
-                     class_weight_sum)
+from .bricks import (FillingClass, _class_walk, _er_term, _lambda_terms,
+                     _row_weight, class_weight_sum)
 from .circulant import det_coeff_er, hall_admissible
 
 
@@ -59,7 +59,9 @@ class DominanceReport:
 
     passed is true iff the <q>-class valuation is strictly smaller than
     every other class's.  dominance_check, which builds the report, has
-    already checked that the contributions sum to the coefficient of x^b."""
+    already checked that the contributions sum to the coefficient of x^b.
+    class_records holds the <q> class first, then the others in the
+    order of the one class walk, not grouped lambda by lambda."""
 
     def __init__(self, n, b, p, r, q_class_valuation, class_records, passed):
         self.n = n
@@ -134,11 +136,13 @@ def contribution_ratio_factors(fc, b, n):
 def dominance_check(b, n, coefficient=None):
     """Certify the valuation inequality for one admissible b at n = p^r.
 
-    Enumerates every eligible lambda and every filling class, records
-    each contribution and its p-adic valuation, and passes iff the
-    <q>-class valuation is strictly smaller than all others.  Raises if
-    the contributions fail to sum to the coefficient of x^b: the given
-    one (a det_table entry, say), or else det_coeff_er(b)."""
+    Records every filling class of every eligible lambda, with its
+    contribution and p-adic valuation: the <q> class, checked against
+    q_class_contribution, then the others from one class walk over mu at
+    step n.  Passes iff the <q>-class valuation is strictly smaller than
+    all others.  Raises if the contributions fail to sum to the
+    coefficient of x^b: the given one (a det_table entry, say), or else
+    det_coeff_er(b)."""
     pp = prime_power(n)
     if pp is None:
         raise ValueError("dominance argument applies to prime powers only")
@@ -151,24 +155,25 @@ def dominance_check(b, n, coefficient=None):
     mu = b.mu()
     base = q_class_contribution(b)
     v_base = valuation(base, p)
-    records = []
     den, lambda_terms = _lambda_terms(mu, n, p)
+    # the <q> class, every brick in one row, then the walk's classes
+    classes = [((q,), (mu.parts,), _row_weight(q, [c for c in b.b if c]))]
+    records = []
     # the sum of every contribution, times den, in integers
     total = 0
     passed = True
-    for lam, unit, num, v_unit in lambda_terms:
-        weights = 0
-        for fc, weight in _class_walk(lam, mu, _FILLS, n):
-            v = v_unit + valuation(weight, p)
-            records.append(ClassRecord(lam, fc, unit, weight, v))
-            weights += weight
-            if lam.parts == (q,):
-                if num * weight != base * den:
-                    raise RuntimeError("base class does not match "
-                                       "q_class_contribution")
-            elif v <= v_base:
-                passed = False
-        total += num * weights
+    for parts, rows, weight in classes + _class_walk(mu.parts, n):
+        lam, unit, num, v_unit = lambda_terms[parts]
+        v = v_unit + valuation(weight, p)
+        fc = object.__new__(FillingClass)._set(lam, mu, rows)
+        records.append(ClassRecord(lam, fc, unit, weight, v))
+        total += num * weight
+        if parts == (q,):
+            if num * weight != base * den:
+                raise RuntimeError("base class does not match "
+                                   "q_class_contribution")
+        elif v <= v_base:
+            passed = False
     if coefficient is None:
         coefficient = det_coeff_er(b)
     if total != coefficient * den:

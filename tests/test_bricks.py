@@ -175,16 +175,25 @@ class TestFillingClasses:
 
 class TestClassWalk:
     def test_weights_are_class_weight_sums(self):
-        # one fills dict per mu, shared across lambdas as dominance_check
-        # shares it
+        # one walk per mu, at step 1, gives the classes of every lambda of
+        # two or more parts; each comes canonical, with class_weight_sum
+        # as its weight, and lambda by lambda in the order of
+        # enumerate_filling_classes
         for q in range(1, 11):
             for mu in partitions_of(q):
-                fills = {}
+                by_lam = {}
+                for parts, rows, weight in _class_walk(mu.parts, 1):
+                    lam = Partition(parts)
+                    fc = FillingClass(lam, mu, rows)
+                    assert fc.rows == rows
+                    assert weight == class_weight_sum(fc), (lam, fc)
+                    by_lam.setdefault(lam, []).append(rows)
                 for lam in partitions_of(q):
-                    for walked, weight in _class_walk(lam, mu, fills):
-                        fc = FillingClass(lam, mu, walked.rows)
-                        assert fc.rows == walked.rows
-                        assert weight == class_weight_sum(fc), (lam, fc)
+                    if lam.k > 1:
+                        assert by_lam.pop(lam, []) == [
+                            fc.rows for fc in
+                            enumerate_filling_classes(lam, mu)], (lam, mu)
+                assert not by_lam
 
     def test_classes_and_order_pinned(self):
         # SHA-256 of the class rows of every (lambda, mu) with q <= 10,

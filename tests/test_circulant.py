@@ -617,7 +617,6 @@ class TestCaches:
         assert cache_sizes() == {"engine_states": 0,
                                  "expanded_determinants": 0,
                                  "filling_weights": 0,
-                                 "row_fills": 0,
                                  "lambda_terms": 0}
         ev = ExponentVector(4, (0, 2, 0, 2))
         values = (expand_det(4).coefficient(ev), det_coeff_er(ev),
@@ -632,15 +631,12 @@ class TestCaches:
         assert set(cache_sizes().values()) == {0}
         assert (expand_det(4).coefficient(ev), det_coeff_er(ev),
                 det_coeff_er_terms(ev)) == values
-        # the dominance certificate's bounded memos are reported too
+        # the dominance certificate's bounded memo is reported too
         dominance_check(ev, 4)
         sizes = cache_sizes()
-        assert sizes["row_fills"] > 0
         assert sizes["lambda_terms"] > 0
-        assert sizes["row_fills"] == len(bricks._FILLS)
         assert sizes["lambda_terms"] == len(bricks._LAMBDA_TERMS)
         clear_caches()
-        assert cache_sizes()["row_fills"] == 0
         assert cache_sizes()["lambda_terms"] == 0
 
 

@@ -4,6 +4,12 @@ from fractions import Fraction
 import pytest
 
 import circulant_terms.bricks as bricks
+import circulant_terms.circulant as circulant
+import circulant_terms.cli as cli
+import circulant_terms.exactmath as exactmath
+import circulant_terms.partitions as partitions
+import circulant_terms.theorem as theorem
+from oracles import class_signature, classes_brute
 from circulant_terms.bricks import (
     FillingClass,
     class_weight_sum,
@@ -195,6 +201,27 @@ class TestDominanceCheck:
                 assert class_contribution(fc, n) == rec.contribution
                 assert valuation(rec.contribution, p) == rec.valuation
 
+    def test_classes_match_the_brute_oracle(self):
+        # each report's classes, grouped by lambda, against every filling
+        # enumerated one by one and grouped by signature, with no code
+        # shared with bricks: every term at n = 4 and 5, and a seeded
+        # handful at n = 7 with q <= 21
+        small = [b for b in permanent_terms(7) if b.q <= 21]
+        terms = (permanent_terms(4) + permanent_terms(5)
+                 + random.Random("brute-7").sample(small, 8))
+        for b in terms:
+            mu = b.mu()
+            records = dominance_check(b, b.n).class_records
+            got = {}
+            for rec in records:
+                sig = class_signature(rec.lam.parts, rec.filling_class.rows)
+                got.setdefault(rec.lam, {})[sig] = rec.weight
+            assert sum(map(len, got.values())) == len(records)
+            for lam in partitions_of(b.q, b.n):
+                assert got.pop(lam, {}) == \
+                    classes_brute(lam.parts, mu.parts), (b.b, lam)
+            assert not got
+
     def test_valuations_use_the_right_prime(self):
         report = dominance_check(ExponentVector(9, (9,) + (0,) * 8), 9)
         assert (report.p, report.r) == (3, 2)
@@ -202,13 +229,12 @@ class TestDominanceCheck:
             valuation(q_class_contribution(ExponentVector(9, (9,) + (0,) * 8)), 3)
 
 
-class TestSharedRowFillMemo:
-    # dominance_check shares one LRU row-fill memo, bounded by _FILLS_MAX,
-    # across every term; what it holds must never show in a report
+class TestOneWalkPerTerm:
+    # dominance_check takes every class of every lambda of a term from
+    # one sub-multiset walk of its bricks and keeps nothing between terms
 
     @staticmethod
-    def _reports(n, terms):
-        coeffs = dict(zip(permanent_terms(n), det_table(n)))
+    def _reports(n, terms, coeffs):
         out = {}
         for b in terms:
             report = dominance_check(b, n, coeffs[b])
@@ -217,66 +243,81 @@ class TestSharedRowFillMemo:
                       [rec.filling_class.rows for rec in report.class_records])
         return out
 
-    def test_bound_holds_through_an_evicting_run(self):
-        clear_caches()
-        terms = permanent_terms(9)
-        assert len(terms) == 2704
-        peak = 0
-        for b, c in zip(terms, det_table(9)):
-            dominance_check(b, 9, c)
-            size = cache_sizes()["row_fills"]
-            assert size <= bricks._FILLS_MAX
-            peak = max(peak, size)
-        # the run fills the memo to its bound, so it evicts
-        assert peak == bricks._FILLS_MAX
-        clear_caches()
+    @staticmethod
+    def _container_sizes():
+        # the length of every dict, list and set at module level in the
+        # package, under the first name that holds it, and the states of
+        # every coefficient engine
+        sizes = {"engine_states": cache_sizes()["engine_states"]}
+        seen = set()
+        for module in (bricks, circulant, cli, exactmath, partitions,
+                       theorem):
+            for name, value in vars(module).items():
+                if (not name.startswith("__") and id(value) not in seen
+                        and isinstance(value, (dict, list, set))):
+                    seen.add(id(value))
+                    sizes[module.__name__, name] = len(value)
+        return sizes
 
-    def test_order_and_eviction_leave_reports_unchanged(self, monkeypatch):
-        terms = permanent_terms(8)
+    def _assert_nothing_grows(self, n, run):
+        # from cold caches, a run over every term of n leaves every
+        # container as it found it, but for the lambda-level terms: one
+        # entry per q, as k(mu) = n for every term
+        terms = permanent_terms(n)
         clear_caches()
-        forward = self._reports(8, terms)
+        coeffs = dict(zip(terms, det_table(n)))
+        before = self._container_sizes()
+        out = run(terms, coeffs)
+        after = self._container_sizes()
         clear_caches()
-        backward = self._reports(8, terms[::-1])
-        clear_caches()
-        monkeypatch.setattr(bricks, "_FILLS_MAX", 2)
-        evicting = self._reports(8, terms)
-        assert cache_sizes()["row_fills"] <= 2
-        clear_caches()
-        assert len(forward) == 810
-        assert backward == forward
-        assert evicting == forward
+        key = ("circulant_terms.bricks", "_LAMBDA_TERMS")
+        assert before[key] == 0
+        assert after.pop(key) == len({b.q for b in terms})
+        before.pop(key)
+        assert after == before
+        return terms, coeffs, out
 
-    def test_one_walk_per_brick_tuple(self, monkeypatch):
-        # with nothing evicted, each (bricks, n) is walked once, for every
-        # row length at once, and never for a last row, which takes every
-        # brick left: a walked tuple holds at least two rows of n
-        terms = permanent_terms(8)
-        clear_caches()
-        bounded = self._reports(8, terms)
-        clear_caches()
-        coeffs = det_table(8)
+    def test_one_walk_per_term(self, monkeypatch):
+        # each term but (n, 0, ..., 0), whose one lambda is (n), walks
+        # the sub-multisets of its bricks once, at step n: 809 walks for
+        # the 810 terms of n = 8
         walked = []
-        walk = bricks._row_fills
+        walk = bricks._sub_rows
 
-        def counted(bricks_, step, cap=None):
+        def counted(bricks_, step, cap):
             walked.append((bricks_, step, cap))
             return walk(bricks_, step, cap)
 
-        monkeypatch.setattr(bricks, "_FILLS_MAX", 10 ** 6)
-        monkeypatch.setattr(bricks, "_row_fills", counted)
-        reports = {}
-        for b, c in zip(terms, coeffs):
-            report = dominance_check(b, 8, c)
-            reports[b] = (report.passed, report.q_class_valuation,
-                          report.other_valuations(),
-                          [rec.filling_class.rows
-                           for rec in report.class_records])
+        def run(terms, coeffs):
+            monkeypatch.setattr(bricks, "_sub_rows", counted)
+            reports = self._reports(8, terms, coeffs)
+            monkeypatch.undo()
+            return reports
+
+        terms, coeffs, reports = self._assert_nothing_grows(8, run)
+        assert len(walked) == 809
+        assert walked == [(b.mu().parts, 8, b.q - 1)
+                          for b in terms if b.q > 8]
+        assert reports == self._reports(8, terms, coeffs)
         clear_caches()
-        assert walked
-        assert len(walked) == len(set(walked))
-        assert all(step == 8 and cap is None and sum(bricks_) >= 2 * step
-                   for bricks_, step, cap in walked)
-        assert reports == bounded
+
+    def test_nothing_held_through_a_whole_run(self):
+        terms, _, passes = self._assert_nothing_grows(
+            9, lambda terms, coeffs: [dominance_check(b, 9, coeffs[b]).passed
+                                      for b in terms])
+        assert len(terms) == 2704
+        assert all(passes)
+
+    def test_reports_do_not_depend_on_term_order(self):
+        terms = permanent_terms(8)
+        clear_caches()
+        coeffs = dict(zip(terms, det_table(8)))
+        forward = self._reports(8, terms, coeffs)
+        clear_caches()
+        backward = self._reports(8, terms[::-1], coeffs)
+        clear_caches()
+        assert len(forward) == 810
+        assert backward == forward
 
 
 class TestIntegerSum:
