@@ -22,10 +22,16 @@ determinant's partition sum and the class contributions share.
 
 One walk, _sub_rows, lists a brick tuple's sub-multisets of mass a
 multiple of a step; from one such list _class_walk builds every class
-of every lambda whose parts are multiples of the step.
+of every lambda whose parts are multiples of the step, or of one given
+lambda.  That walk serves the dominance certificate, the literal
+per-partition sum of the determinant (circulant.det_coeff_er_terms,
+which sums each lambda's class weights into w) and
+enumerate_filling_classes.  The memoized row recursion _w, which reads
+_sub_rows once per row, serves filling_weight and m_to_p_expansion, and
+it is the second route to the w the literal sum records in its memo.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import factorial, gcd, lcm, prod
 from random import Random
@@ -272,10 +278,11 @@ class FillingClass:
         return f"FillingClass({self.lam.parts}, rows={self.rows})"
 
 
-def _class_walk(bricks, step, masses=None):
+def _class_walk(bricks, step, lam=None):
     """(lambda's parts, canonical rows, class_weight_sum) for each class of
     fillings by a sorted-descending brick tuple of each lambda of two or
-    more parts, all multiples of step (and in masses, if given).  Rows
+    more parts, all multiples of step; with lam, a tuple of such parts,
+    given, of lam alone: the row at depth d then has mass lam[d].  Rows
     are _sub_rows entries taken in list order, one again only while its
     bricks are left, so the classes come in the lexicographic order of
     their entries' positions; the entry holding every brick left is
@@ -290,20 +297,28 @@ def _class_walk(bricks, step, masses=None):
     unit = {s: 1 << width * i for i, s in enumerate(dict.fromkeys(bricks))}
     guards = sum(unit.values()) << width - 1
     fills = [(mass, row, sum(map(unit.__getitem__, row)), w)
-             for mass, row, _, w in _sub_rows(bricks, step, total - 1)
-             if masses is None or mass in masses]
+             for mass, row, _, w in _sub_rows(bricks, step,
+                                               lam[0] if lam else total - 1)
+             if lam is None or mass in lam]
     heavy = [-fill[0] for fill in fills]   # ascending, for bisect
     last = {key + guards: i for i, (_, _, key, _) in enumerate(fills)}
     out = []
 
     def descend(start, left, mass, parts, rows, weight):
         i = last.get(left)
-        if i is not None and i >= start:
+        # what is left of lam is its last part only at the last depth
+        if i is not None and i >= start and (lam is None or mass == lam[-1]):
             _, row, _, w = fills[i]
             done = parts + (mass,), rows + (row,)
             out.append((*done, _class_weight(*done, weight * w)))
-        # an entry as heavy as what is left holds all of it, found above
-        for i in range(bisect_right(heavy, -mass, start), len(fills)):
+        if lam is None:
+            # an entry as heavy as what is left holds all of it, found above
+            lo, hi = bisect_right(heavy, -mass, start), len(fills)
+        else:
+            # the next row's mass is lam's next part, none at the last
+            m = -lam[len(parts)] if mass > lam[-1] else 0
+            lo, hi = bisect_left(heavy, m, start), bisect_right(heavy, m, start)
+        for i in range(lo, hi):
             m, row, key, w = fills[i]
             if left - key & guards == guards:
                 descend(i, left - key, mass - m, parts + (m,), rows + (row,),
@@ -320,9 +335,9 @@ def enumerate_filling_classes(lam, mu):
         raise ValueError("sizes differ")
     parts = lam.parts
     walk = ([(parts, (mu.parts,) * lam.k, 1)] if lam.k < 2 else
-            _class_walk(mu.parts, gcd(*parts), set(parts)))
+            _class_walk(mu.parts, gcd(*parts), parts))
     return [object.__new__(FillingClass)._set(lam, mu, rows)
-            for walked, rows, _ in walk if walked == parts]
+            for _, rows, _ in walk]
 
 
 def class_weight_sum(fc):

@@ -39,12 +39,17 @@ oracle, and the partition sum by the engine and term by term.
   arithmetic.  det_coeff_er evaluates the sum in a regrouped form (see
   _Engine), det_coeff_er_terms exposes the literal per-lambda breakdown,
   and the test suite pins the two to each other and to the oracle.
+  det_coeff_er_terms sums each w(lambda, mu) over lambda's filling
+  classes from the one class walk of the bricks module, the walk the
+  dominance certificate takes; the row recursion behind filling_weight
+  is a second route to each w, and the two meet in its memo.
 
 * det_table: every coefficient of one n at once.  Under the maps
   x_j -> x_(u*j+c), u a unit mod n, a coefficient changes only by the
   sign (-1)^(c(n-1)), so det_coeff_er runs once per orbit, on its
-  lexicographically first term.  A seeded sample of every table is
-  recomputed by the literal per-partition sum, which shares no code
+  lexicographically first term.  The number of terms the walk yields
+  must be p(n) by the closed form, and a seeded sample of every table
+  is recomputed by the literal per-partition sum, which shares no code
   with the engine.  It is behind d(n) and the `table`/`verify`
   subcommands; det_coeff_er alone answers single queries (`coeff`).
 
@@ -62,7 +67,8 @@ from operator import add, itemgetter
 
 from .exactmath import euler_phi, divisors
 from .partitions import Partition, partitions_of
-from .bricks import _LAMBDA_TERMS, _W_MEMO, _er_terms
+from .bricks import (_LAMBDA_TERMS, _W_MEMO, _class_walk, _er_term,
+                     _row_weight)
 
 ORACLE_MAX_N = 12
 
@@ -139,6 +145,14 @@ class TermTable:
             if coeff:
                 clean[key] = coeff
         self.entries = clean
+
+    @classmethod
+    def _trusted(cls, n, entries):
+        # for keys of size n and nonzero coefficients by construction
+        table = object.__new__(cls)
+        table.n = n
+        table.entries = entries
+        return table
 
     def coefficient(self, b):
         return self.entries.get(b, 0)
@@ -399,14 +413,16 @@ def expand_det(n):
     cached = _EXPAND_CACHE.get(n)
     if cached is not None:
         return cached
+    sums = _leibniz(n, (n,) * n, first=0)
     raw = {}
-    for key, coeff in _leibniz(n, (n,) * n, first=0).items():
-        for c in range(n):
+    for c in range(n):
+        sign = -1 if c * (n - 1) % 2 else 1
+        for key, coeff in sums.items():
             shifted = key[n - c:] + key[:n - c]
-            raw[shifted] = raw.get(shifted, 0) + (-1) ** (c * (n - 1)) * coeff
-    entries = {ExponentVector._trusted(n, key): coeff
-               for key, coeff in sorted(raw.items()) if coeff}
-    table = TermTable(n, entries)
+            raw[shifted] = raw.get(shifted, 0) + sign * coeff
+    table = TermTable._trusted(n, {ExponentVector._trusted(n, key): coeff
+                                   for key, coeff in sorted(raw.items())
+                                   if coeff})
     _EXPAND_CACHE[n] = table
     return table
 
@@ -607,12 +623,32 @@ def det_coeff_er_terms(b):
     """The same coefficient as det_coeff_er, broken down per partition:
     {lambda: (-1)^(k(mu)-k(lambda)) * w(lambda,mu) * n^k(lambda) / z(lambda)}
     over partitions lambda of q with all parts divisible by n, zero terms
-    omitted.  The values are Fractions; their sum is always an integer."""
+    omitted.  The values are Fractions; their sum is always an integer.
+
+    w(lambda, mu) sums the class weights of lambda from one class walk
+    of mu's bricks at step n, the walk dominance_check takes; the one-row
+    lambda = <q> has a single class, weighed by its closed form.  Each w
+    goes into the row recursion's memo under its own key, and a w that
+    differs from one already held there raises RouteDisagreement."""
     n = b.n
     q = b.q
     if q % n:
         return {}
-    return _er_terms(b.mu(), partitions_of(q, n), n)
+    mu = b.mu()
+    weights = {(q,): _row_weight(q, [x for x in b.b if x])}
+    for parts, _, weight in _class_walk(mu.parts, n):
+        weights[parts] = weights.get(parts, 0) + weight
+    out = {}
+    for lam in partitions_of(q, n):
+        w = weights.get(lam.parts, 0)
+        held = _W_MEMO.setdefault((lam.parts, mu.parts), w)
+        if held != w:
+            raise RouteDisagreement(
+                f"n={n} b={b}: w{lam.parts} = {w} by the class walk but "
+                f"{held} by the row recursion")
+        if w:
+            out[lam] = _er_term(mu, lam, w, n)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +690,11 @@ def det_table(n):
 
     One pass in lexicographic order asks det_coeff_er only for the first
     term of each affine orbit and gives its images their signed values.
-    SPOT_CHECKS terms drawn with random.Random(n) are then recomputed by
-    the literal per-partition sum of det_coeff_er_terms, and a
-    difference raises RouteDisagreement naming n and b."""
+    The walk must yield p_count(n) terms, by the closed form; a
+    different count raises RouteDisagreement naming n.  SPOT_CHECKS
+    terms drawn with random.Random(n) are then recomputed by the literal
+    per-partition sum of det_coeff_er_terms, and a difference raises
+    RouteDisagreement naming n and b."""
     return _det_table(n, None)
 
 
@@ -685,6 +723,10 @@ def _det_table(n, terms):
             terms.append(b)
         if i in picked:
             picked[i] = b
+    if len(codes) != size:
+        raise RouteDisagreement(
+            f"n={n}: p={size} by the formula but {len(codes)} by the "
+            f"term walk")
     table = [values[k] if k >= 0 else -values[~k] for k in codes]
     for i in spots:
         b = ExponentVector(n, picked[i])

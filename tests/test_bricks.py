@@ -195,6 +195,19 @@ class TestClassWalk:
                             enumerate_filling_classes(lam, mu)], (lam, mu)
                 assert not by_lam
 
+    def test_one_lambda_walk_is_the_full_walk_filtered(self):
+        # with lam given, the walk lists lam's classes alone, in the
+        # order the full walk at the same step lists them
+        for q in range(2, 11):
+            for mu in partitions_of(q):
+                for step in range(1, q // 2 + 1):
+                    full = _class_walk(mu.parts, step)
+                    for lam in partitions_of(q, step):
+                        if lam.k > 1:
+                            assert _class_walk(mu.parts, step, lam.parts) \
+                                == [c for c in full if c[0] == lam.parts], \
+                                (lam, mu, step)
+
     def test_classes_and_order_pinned(self):
         # SHA-256 of the class rows of every (lambda, mu) with q <= 10,
         # recorded when every class went through the checked constructor

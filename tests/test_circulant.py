@@ -31,7 +31,7 @@ from circulant_terms.circulant import (
 )
 from circulant_terms.bricks import m_to_p_expansion
 from circulant_terms.cli import COEFF_MAX_N
-from circulant_terms.partitions import Partition
+from circulant_terms.partitions import Partition, partitions_of
 from circulant_terms.theorem import dominance_check
 
 # per(A) and det(A) term counts for n = 1..12
@@ -374,6 +374,16 @@ class TestEngineBeyondOracle:
                 if n in (13, 16, 17, 19):
                     assert value != 0, b
 
+    def test_matches_unrestricted_draws(self):
+        # any number of occupied lengths: the literal sum takes its
+        # weights from the class walk, a few ms per term at n <= 17
+        rng = random.Random("unrestricted")
+        for n in range(13, 18):
+            for _ in range(2):
+                ev = ExponentVector(n, random_admissible(rng, n))
+                assert det_coeff_er(ev) == \
+                    sum(det_coeff_er_terms(ev).values()), ev
+
     def test_matches_literal_sum_up_to_the_coeff_cap(self):
         # draws with 3 or 4 occupied lengths keep the literal sum to
         # about 0.1 s per term at n <= 24
@@ -400,6 +410,42 @@ class TestEngineBeyondOracle:
             circ._ENGINES.pop(n, None)
             det_coeff_er(ExponentVector(n, b))
             assert len(circ._ENGINES[n].memo) == states, n
+
+
+class TestFillingWeightRoutes:
+    """det_coeff_er_terms sums w(lambda, mu) over the class walk; the row
+    recursion behind bricks._er_terms is the other route to each w."""
+
+    @staticmethod
+    def terms():
+        # every admissible term to n = 9, then 4 seeded draws per n
+        terms = [ev for n in range(1, 10) for ev in permanent_terms(n)]
+        rng = random.Random("filling-weight-routes")
+        for n in range(10, 17):
+            terms += [ExponentVector(n, random_admissible(rng, n))
+                      for _ in range(4)]
+        return list(dict.fromkeys(terms))
+
+    def test_class_walk_matches_row_recursion(self):
+        # the row recursion first, on a cold memo, so each w the class
+        # walk records meets the recursion's own value for its key
+        clear_caches()
+        terms = self.terms()
+        recursed = [bricks._er_terms(ev.mu(), partitions_of(ev.q, ev.n),
+                                     ev.n) for ev in terms]
+        for ev, expected in zip(terms, recursed):
+            assert list(det_coeff_er_terms(ev).items()) == \
+                list(expected.items()), ev
+        clear_caches()
+
+    def test_planted_weight_raises(self):
+        clear_caches()
+        ev = ExponentVector(4, (0, 2, 0, 2))
+        key = ((4, 4, 4), ev.mu().parts)
+        bricks._W_MEMO[key] = bricks._w(*key) + 1
+        with pytest.raises(RouteDisagreement, match=r"n=4 b=0,2,0,2: w"):
+            det_coeff_er_terms(ev)
+        clear_caches()
 
 
 class TestEngineMemo:
@@ -650,3 +696,10 @@ class TestTermTable:
     def test_wrong_n_rejected(self):
         with pytest.raises(ValueError):
             TermTable(3, {ExponentVector(2, (2, 0)): 1})
+
+    def test_expand_det_table_passes_the_checks(self):
+        # expand_det builds its table unchecked; the checked constructor
+        # keeps every entry
+        for n in range(1, 8):
+            table = expand_det(n)
+            assert TermTable(n, table.entries).entries == table.entries

@@ -110,6 +110,41 @@ class TestSpotCheck:
         assert "Traceback" not in err
 
 
+class TestTermCount:
+    """det_table checks the number of terms its walk yields against
+    p_count(n), and `table` walks the terms of each n once."""
+
+    @pytest.mark.parametrize("argv", [["table", "--max-n", "4"],
+                                      ["verify", "4"]])
+    def test_short_walk_exits_2(self, capsys, monkeypatch, argv):
+        walk = circ._residue_walk
+
+        def short(n, total):
+            terms = list(walk(n, total))
+            return terms[:-1] if n == 4 else terms
+
+        monkeypatch.setattr(circ, "_residue_walk", short)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("inconsistency: n=4")
+        assert "Traceback" not in err
+
+    def test_one_walk_per_n(self, capsys, monkeypatch):
+        walk = circ._residue_walk
+        calls = []
+
+        def spy(n, total):
+            calls.append((n, total))
+            return walk(n, total)
+
+        monkeypatch.setattr(circ, "_residue_walk", spy)
+        code, _, _ = run(capsys, ["table", "--max-n", "6",
+                                  "--oracle-max", "6"])
+        assert code == 0
+        assert calls == [(n, n) for n in range(1, 7)]
+
+
 class TestOut:
     def test_missing_directory_exits_1(self, capsys, tmp_path):
         path = tmp_path / "missing" / "x.csv"
