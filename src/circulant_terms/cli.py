@@ -24,7 +24,7 @@ from .bricks import m_to_p_expansion
 from .circulant import (ExponentVector, ORACLE_MAX_N, RouteDisagreement,
                         _det_table, d_count, det_coeff_er, det_coeff_oracle,
                         expand_det, p_count, sign_epsilon)
-from .theorem import dominance_check
+from .theorem import dominance_table
 
 # Reference term counts for n = 1..12 as (d, p); every entry is
 # recomputable from this package itself (d by any coefficient route,
@@ -197,8 +197,9 @@ def cmd_coeff(args):
 
 
 def cmd_verify(args):
-    """For prime-power n: run dominance_check over every admissible b and
-    report the valuation spectra.  Otherwise: list the admissible b whose
+    """For prime-power n: certify every admissible b by dominance_table,
+    dominance_check's verdicts from one walk, and report the valuation
+    spectra.  Otherwise: list the admissible b whose
     coefficient vanishes.  Exits 0 only when the outcome matches the
     reference counts."""
     n = args.n
@@ -220,18 +221,19 @@ def cmd_verify(args):
     rows = []
     if prime_power(n) is not None:
         passes = 0
-        for b, c in zip(terms, coeffs):
-            b = ExponentVector._trusted(n, b)
-            report = dominance_check(b, n, c)
-            if report.passed:
-                passes += 1
-            others = ",".join(str(v) for v in report.other_valuations())
-            rows.append({
-                "n": str(n), "b": str(b),
-                "pass": "true" if report.passed else "false",
-                "valuations": f"{report.q_class_valuation}|{others}",
-            })
-        _emit(fieldnames, rows, args.format, args.out)
+
+        def certified():
+            # each row is made as its term's verdict comes, so _emit
+            # never holds every row at once
+            nonlocal passes
+            for b, (passed, v_base, others) in zip(
+                    terms, dominance_table(n, terms, coeffs)):
+                passes += passed
+                yield {"n": str(n), "b": str(ExponentVector._trusted(n, b)),
+                       "pass": "true" if passed else "false",
+                       "valuations": f"{v_base}|{','.join(map(str, others))}"}
+
+        _emit(fieldnames, certified(), args.format, args.out)
         print(f"{passes}/{len(terms)} dominance passes, d={nonzero}, "
               f"p={len(terms)}", file=sys.stderr)
         ok = ok and passes == len(terms)

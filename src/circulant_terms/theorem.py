@@ -21,15 +21,25 @@ strictly the smallest p-adic valuation, the sum cannot vanish, and every
 admissible monomial survives in the determinant: d(n) = p(n) for prime
 powers.  dominance_check certifies the inequality class by class;
 lemma_check covers the multinomial valuation bound that drives it.
+
+`verify` certifies every term of n by dominance_table, which meets each
+class of each term once in a single walk over the zero-residue rows of
+n, the brick multisets every class but <q> is made of, instead of a
+class walk per term.  dominance_check stays the per-term route: it
+returns each class as a FillingClass with its contribution, walks the
+classes of its own term by _class_walk, shares no walk with
+dominance_table, and so cross-checks it term by term.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .exactmath import multinomial, prime_power, valuation
 from .partitions import factorial_of_partition
-from .bricks import (FillingClass, _class_walk, _er_term, _lambda_terms,
-                     _row_weight, class_weight_sum)
-from .circulant import det_coeff_er, hall_admissible
+from .bricks import (FillingClass, _class_walk, _class_weight, _er_term,
+                     _lambda_terms, _row_weight, class_weight_sum)
+from .circulant import (ExponentVector, RouteDisagreement, _residue_walk,
+                        det_coeff_er, hall_admissible, p_count)
 
 
 class ClassRecord:
@@ -140,9 +150,9 @@ def dominance_check(b, n, coefficient=None):
     contribution and p-adic valuation: the <q> class, checked against
     q_class_contribution, then the others from one class walk over mu at
     step n.  Passes iff the <q>-class valuation is strictly smaller than
-    all others.  Raises if the contributions fail to sum to the
-    coefficient of x^b: the given one (a det_table entry, say), or else
-    det_coeff_er(b)."""
+    all others.  Raises RouteDisagreement naming n and b if the
+    contributions fail to sum to the coefficient of x^b: the given one
+    (a det_table entry, say), or else det_coeff_er(b)."""
     pp = prime_power(n)
     if pp is None:
         raise ValueError("dominance argument applies to prime powers only")
@@ -170,15 +180,149 @@ def dominance_check(b, n, coefficient=None):
         total += num * weight
         if parts == (q,):
             if num * weight != base * den:
-                raise RuntimeError("base class does not match "
-                                   "q_class_contribution")
+                raise RouteDisagreement(f"n={n} b={b}: the base class does "
+                                        f"not match q_class_contribution")
         elif v <= v_base:
             passed = False
     if coefficient is None:
         coefficient = det_coeff_er(b)
-    if total != coefficient * den:
-        raise RuntimeError("class contributions do not sum to the coefficient")
+    _check_sum(n, b, total, den, coefficient)
     return DominanceReport(n, b, p, r, v_base, records, passed)
+
+
+def _check_sum(n, b, total, den, coefficient):
+    # total is the sum of b's class contributions times den
+    if total != coefficient * den:
+        raise RouteDisagreement(
+            f"n={n} b={b}: the class contributions sum to "
+            f"{Fraction(total, den)} but the coefficient is {coefficient}")
+
+
+def dominance_table(n, terms, coeffs):
+    """dominance_check's verdict on every admissible b of size n = p^r at
+    once: yields (passed, q_class_valuation, other valuations ascending)
+    for each exponent tuple of terms, which must list every admissible b
+    once, in order; coeffs holds their coefficients, det_table(n) say.
+
+    Every class but <q> is a multiset of two or more zero-residue rows:
+    brick multisets of fewer than n bricks whose mass is a multiple of
+    n, p(n) - 1 of them, a count checked against p_count.  One walk
+    takes the rows, sorted by mass, in non-decreasing list position
+    until exactly n bricks are used, pruned by the brick totals the rows
+    from a position on can still reach, and so meets each class of each
+    term once; the term is the class's summed packed counts.  Each term
+    then gets the checks dominance_check makes: its base class against
+    q_class_contribution, and its contributions against its
+    coefficient, either raising RouteDisagreement naming n and b."""
+    pp = prime_power(n)
+    if pp is None:
+        raise ValueError("dominance argument applies to prime powers only")
+    p = pp[0]
+    # a count per brick length in a field of its own, wide enough for n
+    shifts = range(0, n.bit_length() * n, n.bit_length())
+    rows = []   # (mass, packed counts, bricks, row weight)
+    for k in range(1, n):
+        for a in _residue_walk(n, k):
+            mass = sum(i * c for i, c in enumerate(a, 1))
+            rows.append((mass, sum(c << s for c, s in zip(a, shifts)), k,
+                         _row_weight(mass, [c for c in a if c])))
+    size = p_count(n)
+    if len(rows) != size - 1:
+        raise RouteDisagreement(f"n={n}: p={size} by the formula but "
+                                f"{len(rows)} zero-residue rows")
+    index = {sum(c << s for c, s in zip(b, shifts)): t
+             for t, b in enumerate(terms)}
+    if len(index) != size or len(terms) != size:
+        raise ValueError("terms must list every admissible b once")
+    # equal masses, and so identical rows, sit next to each other, as
+    # _class_weight needs
+    rows.sort()
+    masses, keys, counts, weights = zip(*rows)
+    del rows
+    row_v = [valuation(w, p) for w in weights]
+    # reach[i]: bitmask of the brick totals of the multisets of rows
+    # i, i+1, ...
+    full = (1 << n + 1) - 1
+    reach = [1] * (len(masses) + 1)
+    for i in range(len(masses) - 1, -1, -1):
+        m, k = reach[i + 1], counts[i]
+        while (m | m << k) & full != m:
+            m = (m | m << k) & full
+        reach[i] = m
+    # the list positions of the rows of k bricks, ascending; none of n
+    by_count = [[] for _ in range(n + 1)]
+    for i, k in enumerate(counts):
+        by_count[k].append(i)
+    # each lambda's term at weight 1 as (numerator over its q's common
+    # denominator, valuation), by lambda's parts ascending, as walked:
+    # units[all but the last part][last part]
+    units, dens = {}, {}
+    for b in terms:
+        ev = ExponentVector._trusted(n, b)
+        if ev.q not in dens:
+            den, lambda_terms = _lambda_terms(ev.mu(), n, p)
+            dens[ev.q] = den
+            for parts, (_, _, num, v) in lambda_terms.items():
+                units.setdefault(parts[:0:-1], {})[parts[0]] = num, v
+    totals = [0] * size
+    spectra = [{} for _ in range(size)]   # per term: valuation -> classes
+
+    def descend(start, left, key, parts, picked, weight):
+        # the rows so far: their masses, list positions, packed counts and
+        # product of row weights; the next row's position is >= start
+        for k in range(1, left):
+            rest = left - k
+            ids = by_count[k]
+            for j in range(bisect_left(ids, start), len(ids)):
+                i = ids[j]
+                # reach only shrinks along the list
+                if not reach[i] >> rest & 1:
+                    break
+                descend(i, rest, key + keys[i], parts + (masses[i],),
+                        picked + (i,), weight * weights[i])
+        # a last row of exactly the bricks left ends a class: its weight
+        # is the row's times the class's with the row's weight taken as 1,
+        # which is one of three, by the row's mass and position
+        ids = by_count[left]
+        lo = bisect_left(ids, start)
+        if lo == len(ids):
+            return
+        last = parts[-1]
+        ends = units[parts]
+        # a mass not yet taken; the last row's mass, where position -1
+        # is no row's and so unlike the last row; the last row again
+        new, same, again = (
+            (w, valuation(w, p)) for w in (
+                _class_weight(parts, picked, weight),
+                _class_weight(parts + (last,), picked + (-1,), weight),
+                _class_weight(parts + (last,), picked + (start,), weight)))
+        for j in range(lo, len(ids)):
+            i = ids[j]
+            m = masses[i]
+            w, v = new if m != last else same if i != start else again
+            num, v_unit = ends[m]
+            t = index[key + keys[i]]
+            totals[t] += num * w * weights[i]
+            v += row_v[i] + v_unit
+            spectrum = spectra[t]
+            spectrum[v] = spectrum.get(v, 0) + 1
+
+    descend(0, n, 0, (), (), 1)
+    del masses, keys, counts, weights, row_v, reach, by_count, index
+    for t, b in enumerate(terms):
+        ev = ExponentVector._trusted(n, b)
+        q = ev.q
+        den = dens[q]
+        base = q_class_contribution(ev)
+        num = units[()][q][0] * _row_weight(q, [c for c in b if c])
+        if num != base * den:
+            raise RouteDisagreement(f"n={n} b={ev}: the base class does not "
+                                    f"match q_class_contribution")
+        _check_sum(n, ev, totals[t] + num, den, coeffs[t])
+        v_base = valuation(base, p)
+        spectrum, spectra[t] = spectra[t], None
+        yield (min(spectrum, default=v_base + 1) > v_base, v_base,
+               [v for v in sorted(spectrum) for _ in range(spectrum[v])])
 
 
 def lemma_check(m, p, s, parts):

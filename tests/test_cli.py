@@ -257,8 +257,9 @@ class TestStdoutDigests:
 
 
 class TestDominanceDigests:
-    # SHA-256 of stdout at the prime powers 8 and 9, whose dominance
-    # certificates walk thousands of filling classes
+    # SHA-256 of stdout at the prime powers 8, 9 and 11, whose dominance
+    # certificates walk thousands of filling classes (1,543,484 at 11);
+    # the verify 11 digest was recorded from the class walk per term
     @pytest.mark.parametrize("argv, digest", [
         ("verify 8",
          "7cc31132297b3ac22cb7cf43a350fad192bf5bf5535dd384bbdc7658e3cbf4b5"),
@@ -266,6 +267,8 @@ class TestDominanceDigests:
          "db955f8389a630bf611b79f5871e8dcf346eb929ca5558af928537bd4b0a8bd3"),
         ("verify 9",
          "e19979419bd19255f382dcc6d3a327e9b3f73916c71aa2c295959582a3d47e85"),
+        ("verify 11",
+         "4087ac3bba84e8b9f67e5315925b3184669b54d170a3e3e8337d902bc593305d"),
     ])
     def test_stdout_is_byte_identical(self, capsys, argv, digest):
         code, out, _ = run(capsys, argv.split())
@@ -454,6 +457,25 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", "2"])
         assert code == 2
         assert "inconsistency" in err
+
+    def test_route_disagreement_exits_2(self, capsys, monkeypatch):
+        # a det_table coefficient off by one: the class contributions of
+        # its term no longer sum to it
+        det_table = cli._det_table
+
+        def planted(n, terms):
+            coeffs = det_table(n, terms)
+            coeffs[7] += 1
+            return coeffs
+
+        monkeypatch.setattr(cli, "_det_table", planted)
+        code, out, err = run(capsys, ["verify", "5"])
+        b = ",".join(map(str, circ.permanent_terms(5)[7].b))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith(f"inconsistency: n=5 b={b}: ")
+        assert "Traceback" not in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, ["verify", "3", "--format", "json"])

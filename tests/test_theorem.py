@@ -17,6 +17,7 @@ from circulant_terms.bricks import (
 )
 from circulant_terms.circulant import (
     ExponentVector,
+    RouteDisagreement,
     cache_sizes,
     clear_caches,
     det_coeff_er,
@@ -29,6 +30,7 @@ from circulant_terms.theorem import (
     class_contribution,
     contribution_ratio_factors,
     dominance_check,
+    dominance_table,
     lemma_check,
     q_class_contribution,
 )
@@ -178,6 +180,11 @@ class TestDominanceCheck:
         assert dominance_check(ev, 3, det_coeff_er(ev)).passed
         with pytest.raises(RuntimeError):
             dominance_check(ev, 3, det_coeff_er(ev) + 1)
+
+    def test_wrong_coefficient_is_a_route_disagreement(self):
+        ev = ExponentVector(5, (1, 1, 1, 1, 1))
+        with pytest.raises(RouteDisagreement, match=r"^n=5 b=1,1,1,1,1: "):
+            dominance_check(ev, 5, det_coeff_er(ev) - 1)
 
     def test_all_pass_for_small_prime_powers(self):
         for n in (2, 3, 4, 5):
@@ -339,6 +346,81 @@ class TestIntegerSum:
             for rec in dominance_check(b, n, c).class_records:
                 fc = FillingClass(rec.lam, mu, rec.filling_class.rows)
                 assert rec.contribution == class_contribution(fc, n)
+
+
+class TestDominanceTable:
+    # dominance_table meets every class of every term of n in one walk
+    # over the zero-residue rows; dominance_check, one class walk per
+    # term, is its reference, verdict by verdict
+
+    @staticmethod
+    def _table(n):
+        terms = permanent_terms(n)
+        coeffs = det_table(n)
+        return terms, coeffs, list(dominance_table(
+            n, [b.b for b in terms], coeffs))
+
+    @staticmethod
+    def _verdict(b, c):
+        report = dominance_check(b, b.n, c)
+        return (report.passed, report.q_class_valuation,
+                report.other_valuations())
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9])
+    def test_every_term_matches_dominance_check(self, n):
+        terms, coeffs, table = self._table(n)
+        assert len(table) == len(terms)
+        for b, c, verdict in zip(terms, coeffs, table):
+            assert verdict == self._verdict(b, c), b.b
+
+    def test_seeded_terms_of_11_match_dominance_check(self):
+        terms, coeffs, table = self._table(11)
+        assert len(table) == 32066
+        assert all(passed for passed, _, _ in table)
+        for i in random.Random("dominance-table-11").sample(
+                range(len(terms)), 300):
+            assert table[i] == self._verdict(terms[i], coeffs[i]), \
+                terms[i].b
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_off_by_one_is_caught(self, n):
+        terms = [b.b for b in permanent_terms(n)]
+        coeffs = det_table(n)
+        for i in random.Random(f"off-by-one-{n}").sample(range(len(terms)),
+                                                        12):
+            b = ",".join(map(str, terms[i]))
+            for wrong in (coeffs[i] - 1, coeffs[i] + 1):
+                planted = coeffs[:i] + [wrong] + coeffs[i + 1:]
+                with pytest.raises(RouteDisagreement,
+                                   match=rf"^n={n} b={b}: "):
+                    list(dominance_table(n, terms, planted))
+
+    def test_row_count_is_checked(self, monkeypatch):
+        # the walk's rows must number p(n) - 1 by the closed form
+        terms = [b.b for b in permanent_terms(5)]
+        coeffs = det_table(5)
+        real = theorem.p_count
+        monkeypatch.setattr(theorem, "p_count",
+                            lambda n, method="formula": real(n) + 1)
+        with pytest.raises(RouteDisagreement, match=r"^n=5: "):
+            list(dominance_table(5, terms, coeffs))
+
+    def test_nothing_held_through_a_whole_run(self):
+        # no cache but the lambda-level terms, one entry per q
+        terms, _, table = TestOneWalkPerTerm()._assert_nothing_grows(
+            8, lambda terms, coeffs: list(dominance_table(
+                8, [b.b for b in terms], [coeffs[b] for b in terms])))
+        assert len(table) == len(terms) == 810
+
+    def test_composite_n_rejected(self):
+        with pytest.raises(ValueError):
+            list(dominance_table(6, [b.b for b in permanent_terms(6)],
+                                 det_table(6)))
+
+    def test_every_term_required(self):
+        terms = [b.b for b in permanent_terms(5)]
+        with pytest.raises(ValueError):
+            list(dominance_table(5, terms[1:], det_table(5)[1:]))
 
 
 class TestLemmaCheck:
