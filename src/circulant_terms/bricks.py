@@ -22,21 +22,21 @@ determinant's partition sum and the class contributions share.
 
 One walk, _sub_rows, lists a brick tuple's sub-multisets of mass a
 multiple of a step; from one such list _class_walk builds every class
-of every lambda whose parts are multiples of the step, or of one given
-lambda.  That walk serves the dominance certificate, the literal
+of every lambda whose parts are multiples of the step, the one-row
+class first.  That walk serves the dominance certificate, the literal
 per-partition sum of the determinant (circulant.det_coeff_er_terms,
 which sums each lambda's class weights into w) and
-enumerate_filling_classes.  The memoized row recursion _w, which reads
-_sub_rows once per row, serves filling_weight and m_to_p_expansion, and
-it is the second route to the w the literal sum records in its memo.
+enumerate_filling_classes, which keeps one lambda's classes.  The
+memoized row recursion _w, which reads _sub_rows once per row, serves
+filling_weight and m_to_p_expansion, and it is the second route to the
+w the literal sum records in its memo.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 from random import Random
 
-from .exactmath import valuation
 from .partitions import Partition, partitions_of, z_of
 
 
@@ -160,23 +160,7 @@ def _sub_rows(bricks, step, cap):
             for mass, row, rest, alpha in partial]
 
 
-def _row_fills(bricks, step, cap=None):
-    """_sub_rows by mass: item i lists (row, rest, weight) for each row of
-    mass (i+1)*step, up to cap, by default every proper sub-multiset's."""
-    if cap is None:
-        cap = sum(bricks) - 1
-    by_mass = [[] for _ in range(cap // step)]
-    for mass, row, rest, weight in _sub_rows(bricks, step, cap):
-        by_mass[mass // step - 1].append((row, rest, weight))
-    return tuple(map(tuple, by_mass))
-
-
 _W_MEMO = {}
-
-# lambda-level terms keyed by (n, q, k(mu) mod 2), shared by every
-# caller; at the bound a miss first drops the least recently used entry
-_LAMBDA_TERMS = {}
-_LAMBDA_TERMS_MAX = 64
 
 
 def filling_weight(lam, mu):
@@ -202,8 +186,8 @@ def _w(rows, bricks):
     if val is not None:
         return val
     total = 0
-    # capped at the row, the walk lists that one length
-    for _, rest, weight in _row_fills(bricks, rows[0], rows[0])[0]:
+    # capped at the row, the walk lists rows of that one mass
+    for _, _, rest, weight in _sub_rows(bricks, rows[0], rows[0]):
         total += weight * _w(rows[1:], rest)
     _W_MEMO[key] = total
     return total
@@ -278,18 +262,15 @@ class FillingClass:
         return f"FillingClass({self.lam.parts}, rows={self.rows})"
 
 
-def _class_walk(bricks, step, lam=None):
+def _class_walk(bricks, step):
     """(lambda's parts, canonical rows, class_weight_sum) for each class of
-    fillings by a sorted-descending brick tuple of each lambda of two or
-    more parts, all multiples of step; with lam, a tuple of such parts,
-    given, of lam alone: the row at depth d then has mass lam[d].  Rows
-    are _sub_rows entries taken in list order, one again only while its
-    bricks are left, so the classes come in the lexicographic order of
-    their entries' positions; the entry holding every brick left is
-    looked up."""
+    fillings by a sorted-descending brick tuple of each lambda whose
+    parts are multiples of step.  Rows are _sub_rows entries taken in
+    list order, one again only while its bricks are left, so the classes
+    come in the lexicographic order of their entries' positions, the
+    one-row class first; the entry holding every brick left is looked
+    up."""
     total = sum(bricks)
-    if total < 2 * step:
-        return []
     # bricks packed as a count per run of equal bricks, one field each
     # under a guard bit: a row fits in what is left when no field's guard
     # clears on subtracting its key
@@ -297,28 +278,19 @@ def _class_walk(bricks, step, lam=None):
     unit = {s: 1 << width * i for i, s in enumerate(dict.fromkeys(bricks))}
     guards = sum(unit.values()) << width - 1
     fills = [(mass, row, sum(map(unit.__getitem__, row)), w)
-             for mass, row, _, w in _sub_rows(bricks, step,
-                                               lam[0] if lam else total - 1)
-             if lam is None or mass in lam]
+             for mass, row, _, w in _sub_rows(bricks, step, total)]
     heavy = [-fill[0] for fill in fills]   # ascending, for bisect
     last = {key + guards: i for i, (_, _, key, _) in enumerate(fills)}
     out = []
 
     def descend(start, left, mass, parts, rows, weight):
         i = last.get(left)
-        # what is left of lam is its last part only at the last depth
-        if i is not None and i >= start and (lam is None or mass == lam[-1]):
+        if i is not None and i >= start:
             _, row, _, w = fills[i]
             done = parts + (mass,), rows + (row,)
             out.append((*done, _class_weight(*done, weight * w)))
-        if lam is None:
-            # an entry as heavy as what is left holds all of it, found above
-            lo, hi = bisect_right(heavy, -mass, start), len(fills)
-        else:
-            # the next row's mass is lam's next part, none at the last
-            m = -lam[len(parts)] if mass > lam[-1] else 0
-            lo, hi = bisect_left(heavy, m, start), bisect_right(heavy, m, start)
-        for i in range(lo, hi):
+        # an entry as heavy as what is left holds all of it, found above
+        for i in range(bisect_right(heavy, -mass, start), len(fills)):
             m, row, key, w = fills[i]
             if left - key & guards == guards:
                 descend(i, left - key, mass - m, parts + (m,), rows + (row,),
@@ -334,10 +306,10 @@ def enumerate_filling_classes(lam, mu):
     if lam.q != mu.q:
         raise ValueError("sizes differ")
     parts = lam.parts
-    walk = ([(parts, (mu.parts,) * lam.k, 1)] if lam.k < 2 else
-            _class_walk(mu.parts, gcd(*parts), parts))
+    walk = (_class_walk(mu.parts, gcd(*parts)) if parts else
+            [((), (), 1)])
     return [object.__new__(FillingClass)._set(lam, mu, rows)
-            for _, rows, _ in walk]
+            for found, rows, _ in walk if found == parts]
 
 
 def class_weight_sum(fc):
@@ -372,27 +344,6 @@ def _er_term(mu, lam, weight, n):
     # with each power sum p_(lambda_j) evaluated to n
     sign = -1 if (mu.k - lam.k) % 2 else 1
     return Fraction(sign * weight * n ** lam.k, z_of(lam))
-
-
-def _lambda_terms(mu, n, p):
-    """(den, {lambda's parts: (lambda, unit, num, v_p(unit))}) for the
-    lambdas of q(mu) with parts multiples of n: unit is lambda's term at
-    weight 1, num its numerator over den, their one common denominator.
-    It depends on mu only through q(mu) and the parity of k(mu)."""
-    key = (n, mu.q, mu.k % 2)
-    value = _LAMBDA_TERMS.pop(key, None)
-    if value is None:
-        if len(_LAMBDA_TERMS) >= _LAMBDA_TERMS_MAX:
-            del _LAMBDA_TERMS[next(iter(_LAMBDA_TERMS))]
-        units = [(lam, _er_term(mu, lam, 1, n))
-                 for lam in partitions_of(mu.q, n)]
-        den = lcm(*(unit.denominator for _, unit in units))
-        value = den, {lam.parts: (lam, unit,
-                                  unit.numerator * (den // unit.denominator),
-                                  valuation(unit, p))
-                      for lam, unit in units}
-    _LAMBDA_TERMS[key] = value
-    return value
 
 
 def _er_terms(mu, lams, n):

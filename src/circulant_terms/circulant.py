@@ -39,10 +39,11 @@ oracle, and the partition sum by the engine and term by term.
   arithmetic.  det_coeff_er evaluates the sum in a regrouped form (see
   _Engine), det_coeff_er_terms exposes the literal per-lambda breakdown,
   and the test suite pins the two to each other and to the oracle.
-  det_coeff_er_terms sums each w(lambda, mu) over lambda's filling
-  classes from the one class walk of the bricks module, the walk the
-  dominance certificate takes; the row recursion behind filling_weight
-  is a second route to each w, and the two meet in its memo.
+  det_coeff_er_terms sums each w(lambda, mu), the one-row lambda = <q>
+  included, over lambda's filling classes from the one class walk of
+  the bricks module, the walk the dominance certificate takes; the row
+  recursion behind filling_weight is a second route to each w, and the
+  two meet in its memo.
 
 * det_table: every coefficient of one n at once.  Under the maps
   x_j -> x_(u*j+c), u a unit mod n, a coefficient changes only by the
@@ -67,8 +68,7 @@ from operator import add, itemgetter
 
 from .exactmath import euler_phi, divisors
 from .partitions import Partition, partitions_of
-from .bricks import (_LAMBDA_TERMS, _W_MEMO, _class_walk, _er_term,
-                     _row_weight)
+from .bricks import _W_MEMO, _class_walk, _er_term
 
 ORACLE_MAX_N = 12
 
@@ -595,13 +595,11 @@ def _engine(n):
 def cache_sizes():
     """Entries held by the process-wide caches, which grow until
     clear_caches() empties them: coefficient-engine states over every n,
-    expanded determinants, brick-filling weights, and the dominance
-    certificate's lambda-level terms, at most 64 entries keyed by
-    (n, q, k(mu) mod 2); the certificate keeps no class or row."""
+    expanded determinants and brick-filling weights; the dominance
+    certificate keeps nothing between calls."""
     return {"engine_states": sum(len(e.memo) for e in _ENGINES.values()),
             "expanded_determinants": len(_EXPAND_CACHE),
-            "filling_weights": len(_W_MEMO),
-            "lambda_terms": len(_LAMBDA_TERMS)}
+            "filling_weights": len(_W_MEMO)}
 
 
 def clear_caches():
@@ -609,7 +607,6 @@ def clear_caches():
     _ENGINES.clear()
     _EXPAND_CACHE.clear()
     _W_MEMO.clear()
-    _LAMBDA_TERMS.clear()
 
 
 def det_coeff_er(b):
@@ -626,8 +623,7 @@ def det_coeff_er_terms(b):
     omitted.  The values are Fractions; their sum is always an integer.
 
     w(lambda, mu) sums the class weights of lambda from one class walk
-    of mu's bricks at step n, the walk dominance_check takes; the one-row
-    lambda = <q> has a single class, weighed by its closed form.  Each w
+    of mu's bricks at step n, the walk dominance_check takes.  Each w
     goes into the row recursion's memo under its own key, and a w that
     differs from one already held there raises RouteDisagreement."""
     n = b.n
@@ -635,7 +631,7 @@ def det_coeff_er_terms(b):
     if q % n:
         return {}
     mu = b.mu()
-    weights = {(q,): _row_weight(q, [x for x in b.b if x])}
+    weights = {}
     for parts, _, weight in _class_walk(mu.parts, n):
         weights[parts] = weights.get(parts, 0) + weight
     out = {}

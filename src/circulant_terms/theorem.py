@@ -25,19 +25,22 @@ lemma_check covers the multinomial valuation bound that drives it.
 `verify` certifies every term of n by dominance_table, which meets each
 class of each term once in a single walk over the zero-residue rows of
 n, the brick multisets every class but <q> is made of, instead of a
-class walk per term.  dominance_check stays the per-term route: it
-returns each class as a FillingClass with its contribution, walks the
-classes of its own term by _class_walk, shares no walk with
-dominance_table, and so cross-checks it term by term.
+class walk per term; it builds the <q> class of each term from its
+closed form.  dominance_check stays the per-term route: it returns each
+class as a FillingClass with its contribution, takes every class of its
+own term, <q> first, from one _class_walk, shares no walk with
+dominance_table, and so cross-checks it term by term.  Both take each
+lambda's term at weight 1 from _lambda_terms.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 
 from .exactmath import multinomial, prime_power, valuation
-from .partitions import factorial_of_partition
+from .partitions import factorial_of_partition, partitions_of
 from .bricks import (FillingClass, _class_walk, _class_weight, _er_term,
-                     _lambda_terms, _row_weight, class_weight_sum)
+                     _row_weight, class_weight_sum)
 from .circulant import (ExponentVector, RouteDisagreement, _residue_walk,
                         det_coeff_er, hall_admissible, p_count)
 
@@ -143,14 +146,27 @@ def contribution_ratio_factors(fc, b, n):
     return first, second
 
 
+def _lambda_terms(mu, n, p):
+    """(den, {lambda's parts: (lambda, unit, num, v_p(unit))}) for the
+    lambdas of q(mu) with parts multiples of n: unit is lambda's term at
+    weight 1, num its numerator over den, their one common denominator.
+    It depends on mu only through q(mu) and the parity of k(mu)."""
+    units = [(lam, _er_term(mu, lam, 1, n)) for lam in partitions_of(mu.q, n)]
+    den = lcm(*(unit.denominator for _, unit in units))
+    return den, {lam.parts: (lam, unit,
+                             unit.numerator * (den // unit.denominator),
+                             valuation(unit, p))
+                 for lam, unit in units}
+
+
 def dominance_check(b, n, coefficient=None):
     """Certify the valuation inequality for one admissible b at n = p^r.
 
     Records every filling class of every eligible lambda, with its
-    contribution and p-adic valuation: the <q> class, checked against
-    q_class_contribution, then the others from one class walk over mu at
-    step n.  Passes iff the <q>-class valuation is strictly smaller than
-    all others.  Raises RouteDisagreement naming n and b if the
+    contribution and p-adic valuation, from one class walk over mu at
+    step n: the <q> class first, checked against q_class_contribution,
+    then the others.  Passes iff the <q>-class valuation is strictly
+    smaller than all others.  Raises RouteDisagreement naming n and b if the
     contributions fail to sum to the coefficient of x^b: the given one
     (a det_table entry, say), or else det_coeff_er(b)."""
     pp = prime_power(n)
@@ -166,13 +182,11 @@ def dominance_check(b, n, coefficient=None):
     base = q_class_contribution(b)
     v_base = valuation(base, p)
     den, lambda_terms = _lambda_terms(mu, n, p)
-    # the <q> class, every brick in one row, then the walk's classes
-    classes = [((q,), (mu.parts,), _row_weight(q, [c for c in b.b if c]))]
     records = []
     # the sum of every contribution, times den, in integers
     total = 0
     passed = True
-    for parts, rows, weight in classes + _class_walk(mu.parts, n):
+    for parts, rows, weight in _class_walk(mu.parts, n):
         lam, unit, num, v_unit = lambda_terms[parts]
         v = v_unit + valuation(weight, p)
         fc = object.__new__(FillingClass)._set(lam, mu, rows)

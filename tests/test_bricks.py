@@ -16,8 +16,8 @@ from circulant_terms.bricks import (
     BrickMultiset,
     FillingClass,
     _class_walk,
-    _row_fills,
     _row_weight,
+    _sub_rows,
     class_weight_sum,
     enumerate_filling_classes,
     filling_weight,
@@ -175,38 +175,26 @@ class TestFillingClasses:
 
 class TestClassWalk:
     def test_weights_are_class_weight_sums(self):
-        # one walk per mu, at step 1, gives the classes of every lambda of
-        # two or more parts; each comes canonical, with class_weight_sum
-        # as its weight, and lambda by lambda in the order of
-        # enumerate_filling_classes
+        # one walk per mu, at step 1, gives the classes of every lambda,
+        # the one-row class first; each comes canonical, with
+        # class_weight_sum as its weight, and lambda by lambda in the
+        # order of enumerate_filling_classes
         for q in range(1, 11):
             for mu in partitions_of(q):
+                walk = _class_walk(mu.parts, 1)
+                assert walk[0][:2] == ((q,), (mu.parts,)), mu
                 by_lam = {}
-                for parts, rows, weight in _class_walk(mu.parts, 1):
+                for parts, rows, weight in walk:
                     lam = Partition(parts)
                     fc = FillingClass(lam, mu, rows)
                     assert fc.rows == rows
                     assert weight == class_weight_sum(fc), (lam, fc)
                     by_lam.setdefault(lam, []).append(rows)
                 for lam in partitions_of(q):
-                    if lam.k > 1:
-                        assert by_lam.pop(lam, []) == [
-                            fc.rows for fc in
-                            enumerate_filling_classes(lam, mu)], (lam, mu)
+                    assert by_lam.pop(lam, []) == [
+                        fc.rows for fc in
+                        enumerate_filling_classes(lam, mu)], (lam, mu)
                 assert not by_lam
-
-    def test_one_lambda_walk_is_the_full_walk_filtered(self):
-        # with lam given, the walk lists lam's classes alone, in the
-        # order the full walk at the same step lists them
-        for q in range(2, 11):
-            for mu in partitions_of(q):
-                for step in range(1, q // 2 + 1):
-                    full = _class_walk(mu.parts, step)
-                    for lam in partitions_of(q, step):
-                        if lam.k > 1:
-                            assert _class_walk(mu.parts, step, lam.parts) \
-                                == [c for c in full if c[0] == lam.parts], \
-                                (lam, mu, step)
 
     def test_classes_and_order_pinned(self):
         # SHA-256 of the class rows of every (lambda, mu) with q <= 10,
@@ -286,34 +274,30 @@ class TestOracleHelpers:
 class TestRowFills:
     def test_matches_sub_multisets_oracle(self):
         # one walk per (bricks, step) lists every row whose mass is a
-        # positive multiple of step, up to cap, grouped by mass
+        # positive multiple of step, up to cap, by mass descending and
+        # then row descending
         for mass in range(1, 9):
             for mu in partitions_of(mass):
                 bricks = mu.parts
                 for step in range(1, mass + 1):
-                    by_mass = _row_fills(bricks, step, mass)
-                    assert len(by_mass) == mass // step
-                    for i, fills in enumerate(by_mass):
-                        m = (i + 1) * step
-                        rows = [row for row, _, _ in fills]
-                        expected = {tuple(sorted(sub, reverse=True))
-                                    for sub in sub_multisets(Counter(bricks),
-                                                             m)}
-                        assert set(rows) == expected
-                        assert len(rows) == len(expected)
-                        for row, rest, weight in fills:
-                            assert row == tuple(sorted(row, reverse=True))
-                            assert rest == tuple(sorted(rest, reverse=True))
-                            assert (Counter(row) + Counter(rest)
-                                    == Counter(bricks))
-                            assert weight == row_weight_sum(
-                                m, BrickMultiset.from_lengths(row))
-                        assert all(a > b for a, b in zip(rows, rows[1:]))
-                    # by default the proper sub-multisets; capped lower,
-                    # the walk keeps the buckets up to the cap
-                    assert _row_fills(bricks, step) == \
-                        by_mass[:(mass - 1) // step]
-                    assert _row_fills(bricks, step, step) == by_mass[:1]
+                    fills = _sub_rows(bricks, step, mass)
+                    found = [(m, row) for m, row, _, _ in fills]
+                    expected = {(m, tuple(sorted(sub, reverse=True)))
+                                for m in range(step, mass + 1, step)
+                                for sub in sub_multisets(Counter(bricks), m)}
+                    assert set(found) == expected
+                    assert len(found) == len(expected)
+                    for m, row, rest, weight in fills:
+                        assert row == tuple(sorted(row, reverse=True))
+                        assert rest == tuple(sorted(rest, reverse=True))
+                        assert Counter(row) + Counter(rest) == Counter(bricks)
+                        assert weight == row_weight_sum(
+                            m, BrickMultiset.from_lengths(row))
+                    assert all(a > b for a, b in zip(found, found[1:]))
+                    # capped at the step, the walk keeps the rows of
+                    # that one mass
+                    assert _sub_rows(bricks, step, step) == \
+                        [fill for fill in fills if fill[0] == step]
 
     def test_memo_states_of_m2p_8(self):
         clear_caches()

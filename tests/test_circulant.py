@@ -32,7 +32,6 @@ from circulant_terms.circulant import (
 from circulant_terms.bricks import m_to_p_expansion
 from circulant_terms.cli import COEFF_MAX_N
 from circulant_terms.partitions import Partition, partitions_of
-from circulant_terms.theorem import dominance_check
 
 # per(A) and det(A) term counts for n = 1..12
 P_REFERENCE = [1, 2, 4, 10, 26, 80, 246, 810, 2704, 9252, 32066, 112720]
@@ -662,8 +661,7 @@ class TestCaches:
         clear_caches()
         assert cache_sizes() == {"engine_states": 0,
                                  "expanded_determinants": 0,
-                                 "filling_weights": 0,
-                                 "lambda_terms": 0}
+                                 "filling_weights": 0}
         ev = ExponentVector(4, (0, 2, 0, 2))
         values = (expand_det(4).coefficient(ev), det_coeff_er(ev),
                   det_coeff_er_terms(ev))
@@ -677,13 +675,6 @@ class TestCaches:
         assert set(cache_sizes().values()) == {0}
         assert (expand_det(4).coefficient(ev), det_coeff_er(ev),
                 det_coeff_er_terms(ev)) == values
-        # the dominance certificate's bounded memo is reported too
-        dominance_check(ev, 4)
-        sizes = cache_sizes()
-        assert sizes["lambda_terms"] > 0
-        assert sizes["lambda_terms"] == len(bricks._LAMBDA_TERMS)
-        clear_caches()
-        assert cache_sizes()["lambda_terms"] == 0
 
 
 class TestTermTable:

@@ -208,6 +208,16 @@ class TestDominanceCheck:
                 assert class_contribution(fc, n) == rec.contribution
                 assert valuation(rec.contribution, p) == rec.valuation
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8])
+    def test_q_class_comes_first_and_once(self, n):
+        # the one class walk lists the one-row class <q> first, and no
+        # other record has its lambda
+        for ev in permanent_terms(n):
+            records = dominance_check(ev, n).class_records
+            assert records[0].lam.parts == (ev.q,), ev.b
+            assert all(rec.lam.parts != (ev.q,) for rec in records[1:]), \
+                ev.b
+
     def test_classes_match_the_brute_oracle(self):
         # each report's classes, grouped by lambda, against every filling
         # enumerated one by one and grouped by signature, with no code
@@ -268,8 +278,7 @@ class TestOneWalkPerTerm:
 
     def _assert_nothing_grows(self, n, run):
         # from cold caches, a run over every term of n leaves every
-        # container as it found it, but for the lambda-level terms: one
-        # entry per q, as k(mu) = n for every term
+        # container as it found it
         terms = permanent_terms(n)
         clear_caches()
         coeffs = dict(zip(terms, det_table(n)))
@@ -277,17 +286,12 @@ class TestOneWalkPerTerm:
         out = run(terms, coeffs)
         after = self._container_sizes()
         clear_caches()
-        key = ("circulant_terms.bricks", "_LAMBDA_TERMS")
-        assert before[key] == 0
-        assert after.pop(key) == len({b.q for b in terms})
-        before.pop(key)
         assert after == before
         return terms, coeffs, out
 
     def test_one_walk_per_term(self, monkeypatch):
-        # each term but (n, 0, ..., 0), whose one lambda is (n), walks
-        # the sub-multisets of its bricks once, at step n: 809 walks for
-        # the 810 terms of n = 8
+        # each term walks the sub-multisets of its bricks once, at step
+        # n and up to all of them: 810 walks for the 810 terms of n = 8
         walked = []
         walk = bricks._sub_rows
 
@@ -302,9 +306,8 @@ class TestOneWalkPerTerm:
             return reports
 
         terms, coeffs, reports = self._assert_nothing_grows(8, run)
-        assert len(walked) == 809
-        assert walked == [(b.mu().parts, 8, b.q - 1)
-                          for b in terms if b.q > 8]
+        assert len(walked) == 810
+        assert walked == [(b.mu().parts, 8, b.q) for b in terms]
         assert reports == self._reports(8, terms, coeffs)
         clear_caches()
 
@@ -406,7 +409,6 @@ class TestDominanceTable:
             list(dominance_table(5, terms, coeffs))
 
     def test_nothing_held_through_a_whole_run(self):
-        # no cache but the lambda-level terms, one entry per q
         terms, _, table = TestOneWalkPerTerm()._assert_nothing_grows(
             8, lambda terms, coeffs: list(dominance_table(
                 8, [b.b for b in terms], [coeffs[b] for b in terms])))
