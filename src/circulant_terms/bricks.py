@@ -37,6 +37,7 @@ from fractions import Fraction
 from math import factorial, gcd, prod
 from random import Random
 
+from .exactmath import RouteDisagreement
 from .partitions import Partition, partitions_of, z_of
 
 
@@ -113,7 +114,8 @@ def _row_weight(row_length, alpha):
     val, rem = divmod(factorial(sum(alpha) - 1) * row_length,
                       prod(map(factorial, alpha)))
     if rem:
-        raise RuntimeError("row weight sum is not an integer")
+        raise RouteDisagreement(f"the row weight sum of {row_length} over "
+                                f"multiplicities {alpha} is not an integer")
     return val
 
 

@@ -66,7 +66,7 @@ from itertools import combinations
 from math import comb, factorial, gcd
 from operator import add, itemgetter
 
-from .exactmath import euler_phi, divisors
+from .exactmath import RouteDisagreement, admit, euler_phi, divisors
 from .partitions import Partition, partitions_of
 from .bricks import _W_MEMO, _class_walk, _er_term
 
@@ -260,7 +260,7 @@ def p_count(n, method="formula"):
         total = sum(euler_phi(n // d) * comb(2 * d - 1, d) for d in divisors(n))
         count, rem = divmod(total, n)
         if rem:
-            raise RuntimeError("divisor sum not divisible by n")
+            raise RouteDisagreement(f"n={n}: p's divisor sum / n is not whole")
         return count
     if n > 12:
         raise ValueError("method limited to small n")
@@ -509,7 +509,8 @@ class _Engine:
             num = -num
         val, rem = divmod(num, den)
         if rem:
-            raise RuntimeError("coefficient is not an integer")
+            raise RouteDisagreement(f"n={n} b={','.join(map(str, b))}: "
+                                    f"the engine gives {num}/{den}, not whole")
         return val
 
     def h(self, key, occupied):
@@ -596,7 +597,9 @@ def cache_sizes():
     """Entries held by the process-wide caches, which grow until
     clear_caches() empties them: coefficient-engine states over every n,
     expanded determinants and brick-filling weights; the dominance
-    certificate keeps nothing between calls."""
+    certificate keeps nothing between calls.  None has a bound: each
+    grows only with the n it serves, det_table's later orbits reuse the
+    states its earlier ones left, and a run over many n can clear them."""
     return {"engine_states": sum(len(e.memo) for e in _ENGINES.values()),
             "expanded_determinants": len(_EXPAND_CACHE),
             "filling_weights": len(_W_MEMO)}
@@ -624,8 +627,8 @@ def det_coeff_er_terms(b):
 
     w(lambda, mu) sums the class weights of lambda from one class walk
     of mu's bricks at step n, the walk dominance_check takes.  Each w
-    goes into the row recursion's memo under its own key, and a w that
-    differs from one already held there raises RouteDisagreement."""
+    goes into the row recursion's memo under its own key, and admit
+    refuses a w that differs from one already held there."""
     n = b.n
     q = b.q
     if q % n:
@@ -637,11 +640,9 @@ def det_coeff_er_terms(b):
     out = {}
     for lam in partitions_of(q, n):
         w = weights.get(lam.parts, 0)
-        held = _W_MEMO.setdefault((lam.parts, mu.parts), w)
-        if held != w:
-            raise RouteDisagreement(
-                f"n={n} b={b}: w{lam.parts} = {w} by the class walk but "
-                f"{held} by the row recursion")
+        admit(n, b.b, f"w{lam.parts}", {
+            "the class walk": w,
+            "the row recursion": _W_MEMO.setdefault((lam.parts, mu.parts), w)})
         if w:
             out[lam] = _er_term(mu, lam, w, n)
     return out
@@ -652,10 +653,6 @@ def det_coeff_er_terms(b):
 
 # terms of each det_table checked against the literal per-partition sum
 SPOT_CHECKS = 8
-
-
-class RouteDisagreement(RuntimeError):
-    """Two coefficient routes gave different values for the same term."""
 
 
 def _affine_images(n):
@@ -686,11 +683,10 @@ def det_table(n):
 
     One pass in lexicographic order asks det_coeff_er only for the first
     term of each affine orbit and gives its images their signed values.
-    The walk must yield p_count(n) terms, by the closed form; a
-    different count raises RouteDisagreement naming n.  SPOT_CHECKS
-    terms drawn with random.Random(n) are then recomputed by the literal
-    per-partition sum of det_coeff_er_terms, and a difference raises
-    RouteDisagreement naming n and b."""
+    The walk must yield p_count(n) terms, by the closed form, and
+    SPOT_CHECKS terms drawn with random.Random(n) must equal the literal
+    per-partition sum of det_coeff_er_terms; if not, admit raises
+    RouteDisagreement naming n, and b for a spot check."""
     return _det_table(n, None)
 
 
@@ -719,18 +715,13 @@ def _det_table(n, terms):
             terms.append(b)
         if i in picked:
             picked[i] = b
-    if len(codes) != size:
-        raise RouteDisagreement(
-            f"n={n}: p={size} by the formula but {len(codes)} by the "
-            f"term walk")
+    admit(n, None, "p", {"the formula": size, "the term walk": len(codes)})
     table = [values[k] if k >= 0 else -values[~k] for k in codes]
     for i in spots:
         b = ExponentVector(n, picked[i])
-        literal = sum(det_coeff_er_terms(b).values())
-        if literal != table[i]:
-            raise RouteDisagreement(
-                f"n={n} b={b}: {table[i]} by the orbit route but "
-                f"{literal} by the per-partition sum")
+        admit(n, b.b, "coefficient", {
+            "the orbit route": table[i],
+            "the per-partition sum": sum(det_coeff_er_terms(b).values())})
     return table
 
 
@@ -759,5 +750,5 @@ def sign_epsilon(n):
     er = det_coeff_er(b0)
     oracle = _leibniz(n, b0.b)[b0.b]
     if er not in (1, -1):
-        raise RuntimeError("unexpected coefficient at the probe monomial")
+        raise RouteDisagreement(f"n={n}: probe coefficient {er}, not 1 or -1")
     return er * oracle

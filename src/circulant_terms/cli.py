@@ -7,7 +7,9 @@ diagnostics go to stderr.  Every value is serialized as a decimal string
 invocations produce byte-identical output.
 
 Exit codes: 0 success/consistent, 1 usage, validation or output error, 2 an
-internal cross-check caught an inconsistency.
+internal cross-check (exactmath.admit) caught an inconsistency, printed as
+one line "inconsistency: n=... [b=...]: <what> disagrees: <v1> by <r1>, ..."
+and no rows from `table` or `verify`; other errors exit 2 with a traceback.
 """
 
 import csv
@@ -18,18 +20,18 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .exactmath import prime_power
+from .exactmath import RouteDisagreement, admit, prime_power
 from .partitions import partitions_of
 from .bricks import m_to_p_expansion
-from .circulant import (ExponentVector, ORACLE_MAX_N, RouteDisagreement,
-                        _det_table, d_count, det_coeff_er, det_coeff_oracle,
-                        expand_det, p_count, sign_epsilon)
+from .circulant import (ExponentVector, ORACLE_MAX_N, _det_table, d_count,
+                        det_coeff_er, det_coeff_oracle, expand_det, p_count,
+                        sign_epsilon)
 from .theorem import dominance_table
 
 # Reference term counts for n = 1..12 as (d, p); every entry is
 # recomputable from this package itself (d by any coefficient route,
-# p by any of the four counting methods).  `verify` exits 0 only when
-# its recomputation matches this row.
+# p by any of the four counting methods).  `verify` admits its
+# recomputation against this row before it writes any.
 REFERENCE_COUNTS = {
     1: (1, 1), 2: (2, 2), 3: (4, 4), 4: (10, 10), 5: (26, 26),
     6: (68, 80), 7: (246, 246), 8: (810, 810), 9: (2704, 2704),
@@ -142,26 +144,21 @@ def cmd_table(args):
         raise _UsageError("--oracle-max must be at least 0")
     oracle_limit = min(args.max_n, args.oracle_max, ORACLE_MAX_N)
     rows = []
-    diagnostics = []
     for n in range(1, args.max_n + 1):
         d = d_count(n, "er")
         p = p_count(n, "formula")
         rows.append({"n": str(n), "d": str(d), "p": str(p),
                      "equal": "true" if d == p else "false"})
         if n <= oracle_limit:
-            d_oracle = len(expand_det(n))
-            if d_oracle != d:
-                diagnostics.append(
-                    f"n={n}: d={d} by the partition sum but {d_oracle} "
-                    f"by the expansion oracle")
+            admit(n, None, "d", {"the partition sum": d,
+                                 "the expansion oracle": len(expand_det(n))})
     _emit(("n", "d", "p", "equal"), rows, args.format, args.out)
-    for line in diagnostics:
-        print(f"inconsistency: {line}", file=sys.stderr)
-    return 2 if diagnostics else 0
+    return 0
 
 
 def cmd_coeff(args):
-    """The exact coefficient of x^b in det(A), by the requested method(s)."""
+    """The exact coefficient of x^b in det(A), by the requested method(s);
+    with both, the row is written before admit's disagreement goes on."""
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
     if args.n > COEFF_MAX_N:
@@ -174,25 +171,24 @@ def cmd_coeff(args):
     if args.method != "er" and args.n > ORACLE_MAX_N:
         raise ValueError("oracle bound exceeded")
     row = {"n": str(args.n), "b": str(b)}
-    inconsistent = False
+    disagreement = None
     if args.method in ("er", "both"):
-        row["coeff_er"] = str(det_coeff_er(b))
+        row["coeff_er"] = str(er := det_coeff_er(b))
     if args.method in ("oracle", "both"):
-        row["coeff_oracle"] = str(det_coeff_oracle(b))
+        row["coeff_oracle"] = str(oracle := det_coeff_oracle(b))
     if args.method == "both":
         eps = sign_epsilon(args.n)
         row["sign_epsilon"] = f"{eps:+d}"
-        consistent = int(row["coeff_er"]) == eps * int(row["coeff_oracle"])
-        row["consistent"] = "true" if consistent else "false"
-        inconsistent = not consistent
-    fieldnames = [name for name in ("n", "b", "coeff_er", "coeff_oracle",
-                                    "sign_epsilon", "consistent")
-                  if name in row]
-    _emit(fieldnames, [row], args.format, args.out)
-    if inconsistent:
-        print("inconsistency: the two coefficient routes disagree",
-              file=sys.stderr)
-        return 2
+        try:
+            admit(args.n, b.b, "coefficient",
+                  {"the partition sum": er,
+                   "sign_epsilon times the oracle": eps * oracle})
+        except RouteDisagreement as exc:
+            disagreement = exc
+        row["consistent"] = "false" if disagreement else "true"
+    _emit(list(row), [row], args.format, args.out)
+    if disagreement:
+        raise disagreement
     return 0
 
 
@@ -200,8 +196,8 @@ def cmd_verify(args):
     """For prime-power n: certify every admissible b by dominance_table,
     dominance_check's verdicts from one walk, and report the valuation
     spectra.  Otherwise: list the admissible b whose
-    coefficient vanishes.  Exits 0 only when the outcome matches the
-    reference counts."""
+    coefficient vanishes.  d and p are admitted against the reference
+    counts, and the passes against p, before any row is written."""
     n = args.n
     if n < 2:
         raise _UsageError("n must be at least 2")
@@ -216,15 +212,15 @@ def cmd_verify(args):
     terms = []
     coeffs = _det_table(n, terms)
     nonzero = sum(1 for c in coeffs if c)
-    expected_d, expected_p = REFERENCE_COUNTS[n]
-    ok = nonzero == expected_d and len(terms) == expected_p
-    rows = []
+    admit(n, None, "(d, p)", {"the coefficient table": (nonzero, len(terms)),
+                              "REFERENCE_COUNTS": REFERENCE_COUNTS[n]})
     if prime_power(n) is not None:
         passes = 0
 
         def certified():
             # each row is made as its term's verdict comes, so _emit
-            # never holds every row at once
+            # never holds every row at once; the passes are admitted
+            # after the last, before _emit writes any of its text
             nonlocal passes
             for b, (passed, v_base, others) in zip(
                     terms, dominance_table(n, terms, coeffs)):
@@ -232,24 +228,19 @@ def cmd_verify(args):
                 yield {"n": str(n), "b": str(ExponentVector._trusted(n, b)),
                        "pass": "true" if passed else "false",
                        "valuations": f"{v_base}|{','.join(map(str, others))}"}
+            admit(n, None, "the terms that pass", {"dominance_table": passes,
+                                                   "p": len(terms)})
 
         _emit(fieldnames, certified(), args.format, args.out)
         print(f"{passes}/{len(terms)} dominance passes, d={nonzero}, "
               f"p={len(terms)}", file=sys.stderr)
-        ok = ok and passes == len(terms)
     else:
-        for b, c in zip(terms, coeffs):
-            if not c:
-                b = ExponentVector._trusted(n, b)
-                rows.append({"n": str(n), "b": str(b), "pass": "false",
-                             "valuations": ""})
+        rows = [{"n": str(n), "b": str(ExponentVector._trusted(n, b)),
+                 "pass": "false", "valuations": ""}
+                for b, c in zip(terms, coeffs) if not c]
         _emit(fieldnames, rows, args.format, args.out)
         print(f"{len(rows)} vanishing coefficients, d={nonzero}, "
               f"p={len(terms)}", file=sys.stderr)
-    if not ok:
-        print("inconsistency: results do not match the reference counts",
-              file=sys.stderr)
-        return 2
     return 0
 
 

@@ -1,5 +1,5 @@
-"""Exact arithmetic helpers: p-adic valuations and small combinatorial
-and number-theoretic primitives.
+"""Exact arithmetic helpers: p-adic valuations, small combinatorial and
+number-theoretic primitives, and admit, the one cross-check of routes.
 
 All integers are arbitrary-precision Python ints; exact rationals are
 fractions.Fraction, which already guarantees lowest terms and a positive
@@ -8,6 +8,22 @@ denominator.  Nothing here ever touches floating point.
 
 from fractions import Fraction
 from math import factorial
+
+
+class RouteDisagreement(RuntimeError):
+    """Two routes to one number differ, or a closed form is not whole."""
+
+
+def admit(n, b, what, routes):
+    """The one value that routes, {route name: value}, give for `what` at
+    n and exponent tuple b (None for n alone).  If two differ, raises
+    RouteDisagreement: "n=... [b=...]: <what> disagrees: <v1> by <r1>, ..."."""
+    first, *others = routes.values()
+    if others.count(first) != len(others):
+        at = "" if b is None else f" b={','.join(map(str, b))}"
+        listed = ", ".join(f"{v} by {route}" for route, v in routes.items())
+        raise RouteDisagreement(f"n={n}{at}: {what} disagrees: {listed}")
+    return first
 
 
 def valuation(x, p):

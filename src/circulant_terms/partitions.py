@@ -27,12 +27,19 @@ class Partition:
         object.__setattr__(self, "parts", parts)
 
     @classmethod
+    def _trusted(cls, parts):
+        # for a tuple canonical by construction: no copy and no checks
+        lam = object.__new__(cls)
+        object.__setattr__(lam, "parts", parts)
+        return lam
+
+    @classmethod
     def from_beta(cls, beta):
         """Build a partition from a multiplicity vector (beta[i-1] parts equal i)."""
         parts = []
         for i in range(len(beta), 0, -1):
             parts.extend([i] * beta[i - 1])
-        return cls(parts)
+        return cls._trusted(tuple(parts))
 
     @property
     def q(self):
@@ -87,27 +94,25 @@ def partitions_of(q, divisor_constraint=None):
 
     With divisor_constraint = n, only partitions all of whose parts are
     multiples of n are returned: the partitions of q/n scaled by n, or an
-    empty list when n does not divide q.
+    empty list when n does not divide q.  Each is built once, unchecked.
     """
     if q < 0:
         raise ValueError("q must be non-negative")
-    if divisor_constraint is not None:
-        n = divisor_constraint
-        if n < 1:
-            raise ValueError("divisor constraint must be positive")
-        if q % n:
-            return []
-        return [Partition(tuple(n * p for p in lam.parts))
-                for lam in partitions_of(q // n)]
+    scale = 1 if divisor_constraint is None else divisor_constraint
+    if scale < 1:
+        raise ValueError("divisor constraint must be positive")
+    if q % scale:
+        return []
+    q //= scale
     out = []
-    acc = []
+    acc = []    # the parts so far, each times scale
 
     def descend(rem, maxpart):
         if rem == 0:
-            out.append(Partition(tuple(acc)))
+            out.append(Partition._trusted(tuple(acc)))
             return
         for p in range(min(rem, maxpart), 0, -1):
-            acc.append(p)
+            acc.append(scale * p)
             descend(rem - p, p)
             acc.pop()
 

@@ -37,12 +37,15 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 
-from .exactmath import multinomial, prime_power, valuation
+from .exactmath import admit, multinomial, prime_power, valuation
 from .partitions import factorial_of_partition, partitions_of
 from .bricks import (FillingClass, _class_walk, _class_weight, _er_term,
                      _row_weight, class_weight_sum)
-from .circulant import (ExponentVector, RouteDisagreement, _residue_walk,
-                        det_coeff_er, hall_admissible, p_count)
+from .circulant import (ExponentVector, _residue_walk, det_coeff_er,
+                        hall_admissible, p_count)
+
+_BASE = "the one-row class times the lambda terms' denominator"
+_SUM = "the coefficient times the lambda terms' denominator"
 
 
 class ClassRecord:
@@ -166,9 +169,9 @@ def dominance_check(b, n, coefficient=None):
     contribution and p-adic valuation, from one class walk over mu at
     step n: the <q> class first, checked against q_class_contribution,
     then the others.  Passes iff the <q>-class valuation is strictly
-    smaller than all others.  Raises RouteDisagreement naming n and b if the
-    contributions fail to sum to the coefficient of x^b: the given one
-    (a det_table entry, say), or else det_coeff_er(b)."""
+    smaller than all others.  admit raises RouteDisagreement naming n and
+    b if the contributions fail to sum to the coefficient of x^b: the
+    given one (a det_table entry, say), or else det_coeff_er(b)."""
     pp = prime_power(n)
     if pp is None:
         raise ValueError("dominance argument applies to prime powers only")
@@ -193,23 +196,16 @@ def dominance_check(b, n, coefficient=None):
         records.append(ClassRecord(lam, fc, unit, weight, v))
         total += num * weight
         if parts == (q,):
-            if num * weight != base * den:
-                raise RouteDisagreement(f"n={n} b={b}: the base class does "
-                                        f"not match q_class_contribution")
+            admit(n, b.b, _BASE, {
+                "q_class_contribution": base.numerator * den,
+                "the class walk": num * weight})
         elif v <= v_base:
             passed = False
     if coefficient is None:
         coefficient = det_coeff_er(b)
-    _check_sum(n, b, total, den, coefficient)
+    admit(n, b.b, _SUM, {"the coefficient": coefficient * den,
+                         "the class contributions": total})
     return DominanceReport(n, b, p, r, v_base, records, passed)
-
-
-def _check_sum(n, b, total, den, coefficient):
-    # total is the sum of b's class contributions times den
-    if total != coefficient * den:
-        raise RouteDisagreement(
-            f"n={n} b={b}: the class contributions sum to "
-            f"{Fraction(total, den)} but the coefficient is {coefficient}")
 
 
 def dominance_table(n, terms, coeffs):
@@ -225,9 +221,8 @@ def dominance_table(n, terms, coeffs):
     until exactly n bricks are used, pruned by the brick totals the rows
     from a position on can still reach, and so meets each class of each
     term once; the term is the class's summed packed counts.  Each term
-    then gets the checks dominance_check makes: its base class against
-    q_class_contribution, and its contributions against its
-    coefficient, either raising RouteDisagreement naming n and b."""
+    then gets dominance_check's two checks, each an admit naming n and b:
+    the base class against q_class_contribution, the sum against coeffs."""
     pp = prime_power(n)
     if pp is None:
         raise ValueError("dominance argument applies to prime powers only")
@@ -241,9 +236,8 @@ def dominance_table(n, terms, coeffs):
             rows.append((mass, sum(c << s for c, s in zip(a, shifts)), k,
                          _row_weight(mass, [c for c in a if c])))
     size = p_count(n)
-    if len(rows) != size - 1:
-        raise RouteDisagreement(f"n={n}: p={size} by the formula but "
-                                f"{len(rows)} zero-residue rows")
+    admit(n, None, "p - 1", {"the formula": size - 1,
+                             "the zero-residue rows": len(rows)})
     index = {sum(c << s for c, s in zip(b, shifts)): t
              for t, b in enumerate(terms)}
     if len(index) != size or len(terms) != size:
@@ -329,10 +323,10 @@ def dominance_table(n, terms, coeffs):
         den = dens[q]
         base = q_class_contribution(ev)
         num = units[()][q][0] * _row_weight(q, [c for c in b if c])
-        if num != base * den:
-            raise RouteDisagreement(f"n={n} b={ev}: the base class does not "
-                                    f"match q_class_contribution")
-        _check_sum(n, ev, totals[t] + num, den, coeffs[t])
+        admit(n, b, _BASE, {"q_class_contribution": base.numerator * den,
+                            "the one-row class": num})
+        admit(n, b, _SUM, {"the coefficient": coeffs[t] * den,
+                           "the class contributions": totals[t] + num})
         v_base = valuation(base, p)
         spectrum, spectra[t] = spectra[t], None
         yield (min(spectrum, default=v_base + 1) > v_base, v_base,

@@ -27,6 +27,7 @@ from circulant_terms.bricks import (
     row_weight_sum,
     verify_m2p,
 )
+from circulant_terms.exactmath import RouteDisagreement
 from circulant_terms.partitions import Partition, partitions_of, z_of
 
 
@@ -79,6 +80,14 @@ class TestRowWeightSum:
                 bm = BrickMultiset.from_partition(mu)
                 assert row_weight_sum(mass, bm) == \
                     filling_weight_brute((mass,), mu.parts)
+
+
+class TestRowWeightIntegrality:
+    def test_non_integral_closed_form_names_itself(self):
+        with pytest.raises(RouteDisagreement,
+                           match=r"^the row weight sum of 1 over "
+                                 r"multiplicities \(2,\) is not an integer$"):
+            _row_weight(1, (2,))
 
 
 class TestFillingWeight:

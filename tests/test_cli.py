@@ -615,6 +615,85 @@ class TestParser:
         assert "internal inconsistency detected" in err
 
 
+class TestOneLineDisagreement:
+    """Every cross-check goes through exactmath.admit, and every failed
+    one, an integrality self-check included, exits 2 with one
+    "inconsistency:" line on stderr and no traceback."""
+
+    @staticmethod
+    def _one_line(err, prefix):
+        assert err.splitlines() == [err.rstrip("\n")]
+        assert err.startswith(prefix)
+        assert "Traceback" not in err
+
+    def test_table_oracle_disagreement_writes_no_rows(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr(cli, "expand_det", lambda n: [None] * (n - 1))
+        code, out, err = run(capsys, ["table", "--max-n", "3"])
+        assert (code, out) == (2, "")
+        self._one_line(err, "inconsistency: n=1: d disagrees: 1 by the "
+                            "partition sum, 0 by the expansion oracle")
+
+    def test_verify_reference_miss_writes_no_rows(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.REFERENCE_COUNTS, 6, (69, 80))
+        code, out, err = run(capsys, ["verify", "6"])
+        assert (code, out) == (2, "")
+        self._one_line(err, "inconsistency: n=6: ")
+        assert "(68, 80) by the coefficient table" in err
+        assert "(69, 80) by REFERENCE_COUNTS" in err
+
+    def test_coeff_names_both_routes(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sign_epsilon", lambda n: 1)
+        code, out, err = run(capsys, ["coeff", "3", "1,1,1",
+                                      "--method", "both"])
+        assert code == 2
+        assert out.splitlines()[1] == '3,"1,1,1",-3,3,+1,false'
+        self._one_line(err, "inconsistency: n=3 b=1,1,1: coefficient "
+                            "disagrees: -3 by the partition sum, 3 by ")
+
+    def test_verify_failed_certificate_writes_no_rows(self, capsys,
+                                                      monkeypatch):
+        # the passes are admitted against p before any row is written
+        table = cli.dominance_table
+
+        def planted(n, terms, coeffs):
+            verdicts = table(n, terms, coeffs)
+            _, v_base, others = next(verdicts)
+            yield False, v_base, others
+            yield from verdicts
+
+        monkeypatch.setattr(cli, "dominance_table", planted)
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, ["verify", "4", "--format", fmt])
+            assert (code, out) == (2, "")
+            self._one_line(err, "inconsistency: n=4: the terms that pass "
+                                "disagrees: 9 by dominance_table, 10 by p")
+
+    def test_engine_integrality(self, capsys, monkeypatch):
+        # 1/4 planted as h of b's bricks: prod(b_i!) = 4 does not divide it
+        monkeypatch.setattr(circ, "_ENGINES", {})
+        engine = circ._engine(4)
+        engine.memo[2 * engine.powers[1] + 2 * engine.powers[3]] = 1
+        code, out, err = run(capsys, ["coeff", "4", "0,2,0,2"])
+        assert (code, out) == (2, "")
+        self._one_line(err, "inconsistency: n=4 b=0,2,0,2: the engine "
+                            "gives 1/4")
+
+    def test_divisor_sum_integrality(self, capsys, monkeypatch):
+        # with every phi taken as 1 the divisor sum of 3 is 11
+        monkeypatch.setattr(circ, "euler_phi", lambda m: 1)
+        code, out, err = run(capsys, ["table", "--max-n", "3"])
+        assert (code, out) == (2, "")
+        self._one_line(err, "inconsistency: n=3: p's divisor sum")
+
+    def test_probe_integrality(self, capsys, monkeypatch):
+        monkeypatch.setattr(circ, "det_coeff_er", lambda b: 2)
+        code, out, err = run(capsys, ["coeff", "3", "1,1,1",
+                                      "--method", "both"])
+        assert (code, out) == (2, "")
+        self._one_line(err, "inconsistency: n=3: probe coefficient 2")
+
+
 def run_module(*argv):
     """python -m circulant_terms ARGV in a fresh process."""
     src = os.path.dirname(os.path.dirname(cli.__file__))

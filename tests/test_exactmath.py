@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circulant_terms
+import circulant_terms.circulant as circ
 from circulant_terms.exactmath import (
+    RouteDisagreement,
+    admit,
     divisors,
     euler_phi,
     factorize,
@@ -149,3 +153,43 @@ class TestDivisors:
             ds = divisors(n)
             assert ds == sorted(ds)
             assert ds == [d for d in range(1, n + 1) if n % d == 0]
+
+
+class TestAdmit:
+    def test_returns_the_common_value(self):
+        assert admit(4, None, "d", {"one": 10}) == 10
+        assert admit(4, None, "d", {"one": 10, "two": 10, "three": 10}) == 10
+        assert admit(4, (1, 1, 1, 1), "coefficient",
+                     {"one": Fraction(-6), "two": -6}) == -6
+
+    def test_disagreement_names_n(self):
+        with pytest.raises(RouteDisagreement,
+                           match=r"^n=4: d disagrees: 10 by one, 9 by two$"):
+            admit(4, None, "d", {"one": 10, "two": 9})
+
+    def test_disagreement_names_n_and_b(self):
+        with pytest.raises(RouteDisagreement,
+                           match=r"^n=4 b=1,1,1,1: coefficient disagrees: "):
+            admit(4, (1, 1, 1, 1), "coefficient", {"one": -6, "two": 6})
+
+    def test_every_route_and_value_is_named(self):
+        with pytest.raises(RouteDisagreement) as info:
+            admit(4, None, "p", {"the formula": 10, "the walk": 10,
+                                 "the rows": 9})
+        assert str(info.value) == ("n=4: p disagrees: 10 by the formula, "
+                                   "10 by the walk, 9 by the rows")
+
+    def test_message_is_built_only_on_failure(self):
+        class Unprintable(int):
+            def __format__(self, spec):
+                raise AssertionError("message built")
+
+            def __str__(self):
+                raise AssertionError("message built")
+
+        assert admit(4, None, "d", {"one": Unprintable(3), "two": 3}) == 3
+
+    def test_one_exception_class_everywhere(self):
+        assert issubclass(RouteDisagreement, RuntimeError)
+        assert circ.RouteDisagreement is RouteDisagreement
+        assert circulant_terms.RouteDisagreement is RouteDisagreement

@@ -137,3 +137,40 @@ class TestFactorialOfPartition:
             for part in lam:
                 prod *= factorial(part)
             assert factorial_of_partition(lam) == prod
+
+
+class TestTrustedBuild:
+    # partitions_of yields canonical parts by construction, so it builds
+    # each Partition once, without the checks of Partition(...)
+
+    def test_walk_skips_the_checks(self, monkeypatch):
+        expected = {(q, n): [lam.parts for lam in partitions_of(q, n)]
+                    for q, n in ((7, None), (12, 3), (12, 5))}
+
+        def refuse(self, parts):
+            raise AssertionError("validated")
+
+        monkeypatch.setattr(Partition, "__init__", refuse)
+        for (q, n), parts in expected.items():
+            assert [lam.parts for lam in partitions_of(q, n)] == parts
+        assert Partition.from_beta((1, 0, 2)).parts == (3, 3, 1)
+
+    def test_divisor_constraint_builds_each_once(self, monkeypatch):
+        built = []
+        trusted = Partition._trusted.__func__
+
+        def spy(cls, parts):
+            built.append(parts)
+            return trusted(cls, parts)
+
+        monkeypatch.setattr(Partition, "_trusted", classmethod(spy))
+        result = partitions_of(20, 4)
+        assert [lam.parts for lam in result] == built
+        assert built == [(20,), (16, 4), (12, 8), (12, 4, 4), (8, 8, 4),
+                         (8, 4, 4, 4), (4, 4, 4, 4, 4)]
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError):
+            Partition((1, 2))
+        with pytest.raises(ValueError):
+            Partition((2, 0))

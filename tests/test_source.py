@@ -129,3 +129,74 @@ def test_no_floating_point():
 ])
 def test_float_check_finds_each_form(source):
     assert len(_float_sources(ast.parse(source))) == 1
+
+
+def _functions(tree):
+    """(qualified name, node) for each function and method, nested ones
+    under their own name."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    found.append((name, child))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+# every cross-check between routes goes through admit; only these
+# integrality self-checks raise RouteDisagreement themselves
+RAISERS = {
+    ("exactmath.py", "admit"),
+    ("circulant.py", "p_count"),
+    ("circulant.py", "_Engine.coeff"),
+    ("circulant.py", "sign_epsilon"),
+    ("bricks.py", "_row_weight"),
+}
+
+
+def test_route_disagreement_built_only_by_admit_and_integrality_checks():
+    built = set()
+    for path in MODULES:
+        for name, node in _functions(ast.parse(path.read_text("utf-8"))):
+            if any(isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Name)
+                   and call.func.id == "RouteDisagreement"
+                   for call in ast.walk(node)):
+                built.add((path.name, name))
+    assert built == RAISERS
+
+
+def _cli_tree():
+    return ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+
+
+def test_cli_prints_inconsistency_only_in_main():
+    # the one "inconsistency:" line, for every RouteDisagreement
+    tree = _cli_tree()
+
+    def literals(node):
+        return [const for const in ast.walk(node)
+                if isinstance(const, ast.Constant)
+                and isinstance(const.value, str)
+                and const.value.startswith("inconsistency")]
+
+    holders = [name for name, node in _functions(tree) if literals(node)]
+    assert holders == ["main"]
+    assert len(literals(tree)) == 1
+
+
+def test_no_handler_returns_2():
+    returns = [name for name, node in _functions(_cli_tree())
+               if name.startswith("cmd_")
+               for ret in ast.walk(node)
+               if isinstance(ret, ast.Return)
+               and isinstance(ret.value, ast.Constant)
+               and ret.value.value == 2]
+    assert returns == []
