@@ -64,7 +64,7 @@ state per row and works for any n; only |coefficients| matter for d(n).
 import random
 from itertools import combinations
 from math import comb, factorial, gcd
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .exactmath import RouteDisagreement, admit, euler_phi, divisors
 from .partitions import Partition, partitions_of
@@ -110,7 +110,7 @@ class ExponentVector:
     @property
     def q(self):
         """The weighted degree sum(i*b_i); n <= q <= n^2."""
-        return sum((i + 1) * x for i, x in enumerate(self.b))
+        return sum(map(mul, self.b, range(1, self.n + 1)))
 
     def mu(self):
         """The brick partition <1^b_1 ... n^b_n> of q."""

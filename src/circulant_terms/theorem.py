@@ -26,23 +26,27 @@ lemma_check covers the multinomial valuation bound that drives it.
 class of each term once in a single walk over the zero-residue rows of
 n, the brick multisets every class but <q> is made of, instead of a
 class walk per term; it builds the <q> class of each term from its
-closed form.  dominance_check stays the per-term route: it returns each
-class as a FillingClass with its contribution, takes every class of its
-own term, <q> first, from one _class_walk, shares no walk with
-dominance_table, and so cross-checks it term by term.  Both take each
-lambda's term at weight 1 from _lambda_terms.
+closed form.  Its per-term checks are made in integers, each lambda's
+term at weight 1 is computed once per q, and a node of the walk
+computes a class weight only where a class ending there uses it.
+dominance_check stays the per-term route: it returns each class as a
+FillingClass with its contribution, takes every class of its own term,
+<q> first, from one _class_walk, shares no walk with dominance_table,
+and so cross-checks it term by term.  Both take each lambda's term at
+weight 1 from _lambda_terms.
 """
 
-from bisect import bisect_left
+from array import array
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import lcm
+from operator import lshift, mul
 
 from .exactmath import admit, multinomial, prime_power, valuation
-from .partitions import factorial_of_partition, partitions_of
+from .partitions import Partition, factorial_of_partition, partitions_of
 from .bricks import (FillingClass, _class_walk, _class_weight, _er_term,
                      _row_weight, class_weight_sum)
-from .circulant import (ExponentVector, _residue_walk, det_coeff_er,
-                        hall_admissible, p_count)
+from .circulant import _residue_walk, det_coeff_er, hall_admissible, p_count
 
 _BASE = "the one-row class times the lambda terms' denominator"
 _SUM = "the coefficient times the lambda terms' denominator"
@@ -104,11 +108,16 @@ def q_class_contribution(b):
     """The <q>-class term: (-1)^(k(mu)-1) * n! / (b_1! ... b_n!).
 
     Always a nonzero integer (returned as an exact rational)."""
-    n = b.n
-    if b.q % n:
+    if b.q % b.n:
         raise ValueError("no contribution")
-    sign = -1 if (n - 1) % 2 else 1
-    return Fraction(sign * multinomial(n, b.b))
+    return Fraction(_q_class_value(b.n, b.b))
+
+
+def _q_class_value(n, b):
+    # q_class_contribution's closed form as an int, for an exponent tuple
+    # b of size n; k(mu) = sum(b) = n
+    value = multinomial(n, b)
+    return -value if (n - 1) % 2 else value
 
 
 def class_contribution(fc, n):
@@ -213,6 +222,7 @@ def dominance_table(n, terms, coeffs):
     once: yields (passed, q_class_valuation, other valuations ascending)
     for each exponent tuple of terms, which must list every admissible b
     once, in order; coeffs holds their coefficients, det_table(n) say.
+    Raises ValueError, before the first verdict, if they do not.
 
     Every class but <q> is a multiset of two or more zero-residue rows:
     brick multisets of fewer than n bricks whose mass is a multiple of
@@ -220,28 +230,43 @@ def dominance_table(n, terms, coeffs):
     takes the rows, sorted by mass, in non-decreasing list position
     until exactly n bricks are used, pruned by the brick totals the rows
     from a position on can still reach, and so meets each class of each
-    term once; the term is the class's summed packed counts.  Each term
-    then gets dominance_check's two checks, each an admit naming n and b:
-    the base class against q_class_contribution, the sum against coeffs."""
+    term once; the term is the class's summed packed counts.  A walk
+    node computes a class weight and its valuation only for a kind of
+    last row that ends a class there.  One pass over the terms gives
+    each its packed counts and q, and each lambda's term at weight 1 is
+    computed once per q.  Each term then gets dominance_check's two
+    checks, in integers, each an admit naming n and b: the base class
+    against q_class_contribution's closed form, the sum against coeffs."""
     pp = prime_power(n)
     if pp is None:
         raise ValueError("dominance argument applies to prime powers only")
     p = pp[0]
+    degrees = range(1, n + 1)
     # a count per brick length in a field of its own, wide enough for n
     shifts = range(0, n.bit_length() * n, n.bit_length())
     rows = []   # (mass, packed counts, bricks, row weight)
     for k in range(1, n):
         for a in _residue_walk(n, k):
-            mass = sum(i * c for i, c in enumerate(a, 1))
-            rows.append((mass, sum(c << s for c, s in zip(a, shifts)), k,
-                         _row_weight(mass, [c for c in a if c])))
+            mass = sum(map(mul, a, degrees))
+            rows.append((mass, sum(map(lshift, a, shifts)), k,
+                         _row_weight(mass, a)))
     size = p_count(n)
     admit(n, None, "p - 1", {"the formula": size - 1,
                              "the zero-residue rows": len(rows)})
-    index = {sum(c << s for c, s in zip(b, shifts)): t
-             for t, b in enumerate(terms)}
+    # each term's packed counts and q, and the first term of each q
+    index, qs, firsts = {}, [], {}
+    for t, b in enumerate(terms):
+        q = sum(map(mul, b, degrees))
+        if len(b) != n or min(b) < 0 or sum(b) != n or q % n:
+            raise ValueError(f"terms must list every admissible b once, "
+                             f"not {b}")
+        index[sum(map(lshift, b, shifts))] = t
+        qs.append(q)
+        firsts.setdefault(q, b)
     if len(index) != size or len(terms) != size:
         raise ValueError("terms must list every admissible b once")
+    if len(coeffs) != size:
+        raise ValueError("coeffs must hold one coefficient per term")
     # equal masses, and so identical rows, sit next to each other, as
     # _class_weight needs
     rows.sort()
@@ -263,17 +288,17 @@ def dominance_table(n, terms, coeffs):
         by_count[k].append(i)
     # each lambda's term at weight 1 as (numerator over its q's common
     # denominator, valuation), by lambda's parts ascending, as walked:
-    # units[all but the last part][last part]
+    # units[all but the last part][last part]; it depends on the term
+    # only through q
     units, dens = {}, {}
-    for b in terms:
-        ev = ExponentVector._trusted(n, b)
-        if ev.q not in dens:
-            den, lambda_terms = _lambda_terms(ev.mu(), n, p)
-            dens[ev.q] = den
-            for parts, (_, _, num, v) in lambda_terms.items():
-                units.setdefault(parts[:0:-1], {})[parts[0]] = num, v
+    for q, b in firsts.items():
+        dens[q], lambda_terms = _lambda_terms(Partition.from_beta(b), n, p)
+        for parts, (_, _, num, v) in lambda_terms.items():
+            units.setdefault(parts[:0:-1], {})[parts[0]] = num, v
     totals = [0] * size
-    spectra = [{} for _ in range(size)]   # per term: valuation -> classes
+    # per term: the valuations of its classes, 2 bytes each (1,543,484
+    # classes at n = 11; a valuation past 2^15 would raise OverflowError)
+    spectra = [array("h") for _ in range(size)]
 
     def descend(start, left, key, parts, picked, weight):
         # the rows so far: their masses, list positions, packed counts and
@@ -290,47 +315,46 @@ def dominance_table(n, terms, coeffs):
                         picked + (i,), weight * weights[i])
         # a last row of exactly the bricks left ends a class: its weight
         # is the row's times the class's with the row's weight taken as 1,
-        # which is one of three, by the row's mass and position
+        # which is one of three, by the row's position: the last row
+        # again; another row of the last row's mass, where position -1 is
+        # no row's and so unlike the last row; a row of a mass not yet
+        # taken.  Rows lie by mass, so the three kinds come in that order,
+        # and a kind's class weight is made only if a row of it follows.
         ids = by_count[left]
         lo = bisect_left(ids, start)
         if lo == len(ids):
             return
         last = parts[-1]
         ends = units[parts]
-        # a mass not yet taken; the last row's mass, where position -1
-        # is no row's and so unlike the last row; the last row again
-        new, same, again = (
-            (w, valuation(w, p)) for w in (
-                _class_weight(parts, picked, weight),
-                _class_weight(parts + (last,), picked + (-1,), weight),
-                _class_weight(parts + (last,), picked + (start,), weight)))
-        for j in range(lo, len(ids)):
-            i = ids[j]
-            m = masses[i]
-            w, v = new if m != last else same if i != start else again
-            num, v_unit = ends[m]
-            t = index[key + keys[i]]
-            totals[t] += num * w * weights[i]
-            v += row_v[i] + v_unit
-            spectrum = spectra[t]
-            spectrum[v] = spectrum.get(v, 0) + 1
+        heavier = bisect_left(ids, bisect_right(masses, last), lo)
+        for stop, more, at in ((lo + (ids[lo] == start), (last,), (start,)),
+                               (heavier, (last,), (-1,)),
+                               (len(ids), (), ())):
+            if lo == stop:
+                continue
+            w = _class_weight(parts + more, picked + at, weight)
+            v_class = valuation(w, p)
+            for i in ids[lo:stop]:
+                num, v_unit = ends[masses[i]]
+                t = index[key + keys[i]]
+                totals[t] += num * w * weights[i]
+                spectra[t].append(v_class + row_v[i] + v_unit)
+            lo = stop
 
     descend(0, n, 0, (), (), 1)
     del masses, keys, counts, weights, row_v, reach, by_count, index
-    for t, b in enumerate(terms):
-        ev = ExponentVector._trusted(n, b)
-        q = ev.q
+    ones = units[()]   # the one-row lambdas, by q
+    for t, (b, q) in enumerate(zip(terms, qs)):
         den = dens[q]
-        base = q_class_contribution(ev)
-        num = units[()][q][0] * _row_weight(q, [c for c in b if c])
-        admit(n, b, _BASE, {"q_class_contribution": base.numerator * den,
+        base = _q_class_value(n, b)
+        num = ones[q][0] * _row_weight(q, b)
+        admit(n, b, _BASE, {"q_class_contribution": base * den,
                             "the one-row class": num})
         admit(n, b, _SUM, {"the coefficient": coeffs[t] * den,
                            "the class contributions": totals[t] + num})
         v_base = valuation(base, p)
-        spectrum, spectra[t] = spectra[t], None
-        yield (min(spectrum, default=v_base + 1) > v_base, v_base,
-               [v for v in sorted(spectrum) for _ in range(spectrum[v])])
+        spectrum, spectra[t] = sorted(spectra[t]), None
+        yield not spectrum or spectrum[0] > v_base, v_base, spectrum
 
 
 def lemma_check(m, p, s, parts):

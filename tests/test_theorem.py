@@ -56,6 +56,13 @@ class TestQClassContribution:
                 assert class_contribution(fcs[0], n) == \
                     q_class_contribution(ev)
 
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_integer_form_is_the_numerator(self, n):
+        # dominance_table's per-term check reads the closed form as an int
+        for ev in permanent_terms(n):
+            assert theorem._q_class_value(n, ev.b) == \
+                q_class_contribution(ev).numerator
+
 
 class TestClassContribution:
     def test_examples(self):
@@ -423,6 +430,32 @@ class TestDominanceTable:
         terms = [b.b for b in permanent_terms(5)]
         with pytest.raises(ValueError):
             list(dominance_table(5, terms[1:], det_table(5)[1:]))
+
+    def test_inadmissible_term_rejected_before_any_verdict(self):
+        terms = [b.b for b in permanent_terms(5)]
+        terms[3] = (4, 1, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"\(4, 1, 0, 0, 0\)"):
+            next(dominance_table(5, terms, det_table(5)))
+
+    def test_short_coeffs_rejected_before_any_verdict(self):
+        terms = [b.b for b in permanent_terms(5)]
+        with pytest.raises(ValueError, match="coeffs"):
+            next(dominance_table(5, terms, det_table(5)[:-1]))
+
+    def test_lambda_terms_once_per_q(self, monkeypatch):
+        # the lambda terms depend on a term only through q: 8 q's at n = 8
+        seen = []
+        real = theorem._lambda_terms
+
+        def counted(mu, n, p):
+            seen.append(mu.q)
+            return real(mu, n, p)
+
+        monkeypatch.setattr(theorem, "_lambda_terms", counted)
+        terms = [b.b for b in permanent_terms(8)]
+        table = list(dominance_table(8, terms, det_table(8)))
+        assert len(table) == 810
+        assert sorted(seen) == list(range(8, 65, 8))
 
 
 class TestLemmaCheck:
