@@ -47,8 +47,12 @@ oracle, and the partition sum by the engine and term by term.
 
 * det_table: every coefficient of one n at once.  Under the maps
   x_j -> x_(u*j+c), u a unit mod n, a coefficient changes only by the
-  sign (-1)^(c(n-1)), so det_coeff_er runs once per orbit, on its
-  lexicographically first term.  The number of terms the walk yields
+  sign (-1)^(c(n-1)), so det_coeff_er runs once per orbit.  It is asked
+  for the orbit's lexicographically first term read backwards, its
+  image under x_j -> x_(1-j) (u = -1, c = 1, sign (-1)^(n-1)): that
+  term has the fewest bricks of the greatest lengths, the cheapest
+  shape for the engine, which anchors the longest brick and settles
+  the length-1 bricks in one step.  The number of terms the walk yields
   must be p(n) by the closed form, and a seeded sample of every table
   is recomputed by the literal per-partition sum, which shares no code
   with the engine.  It is behind d(n) and the `table`/`verify`
@@ -655,13 +659,19 @@ def det_coeff_er_terms(b):
 SPOT_CHECKS = 8
 
 
+def _shift_negates(n, c):
+    """Whether x_j -> x_(u*j+c) negates a coefficient: the multiplier u
+    only permutes the eigenvalues c_k and the shift c multiplies each
+    c_k by xi^(-ck), so their product picks up
+    xi^(-c*n(n-1)/2) = (-1)^(c(n-1))."""
+    return c * (n - 1) % 2 == 1
+
+
 def _affine_images(n):
     """(image, negate) for each map x_j -> x_(u*j+c), u a unit mod n,
     other than the identity: image(b) is the exponent tuple of x^b after
-    the substitution, and negate tells whether its coefficient is minus
-    that of x^b.  The multiplier u only permutes the eigenvalues c_k and
-    the shift c multiplies each c_k by xi^(-ck), so their product picks
-    up xi^(-c*n(n-1)/2) = (-1)^(c(n-1))."""
+    the substitution, and negate, from _shift_negates, tells whether its
+    coefficient is minus that of x^b."""
     identity = list(range(n))
     images = []
     for u in range(n):
@@ -673,7 +683,7 @@ def _affine_images(n):
             for i in range(n):
                 source[(u * (i + 1) + c - 1) % n] = i
             if source != identity:
-                images.append((itemgetter(*source), c * (n - 1) % 2 == 1))
+                images.append((itemgetter(*source), _shift_negates(n, c)))
     return images
 
 
@@ -681,8 +691,10 @@ def det_table(n):
     """det_coeff_er(b) for every admissible b of size n, zeros included,
     as a list aligned with permanent_terms(n).
 
-    One pass in lexicographic order asks det_coeff_er only for the first
-    term of each affine orbit and gives its images their signed values.
+    One pass in lexicographic order meets each affine orbit at its first
+    term b, asks det_coeff_er for b[::-1], its image under x_j -> x_(1-j)
+    and the orbit's cheapest term for the engine, and gives b and its
+    images their signed values.
     The walk must yield p_count(n) terms, by the closed form, and
     SPOT_CHECKS terms drawn with random.Random(n) must equal the literal
     per-partition sum of det_coeff_er_terms; if not, admit raises
@@ -700,6 +712,8 @@ def _det_table(n, terms):
     spots = random.Random(n).sample(range(size), min(SPOT_CHECKS, size))
     picked = dict.fromkeys(spots)
     images = _affine_images(n)
+    # b[::-1] is b's image under x_j -> x_(1-j), u = -1 and c = 1
+    reverse_negates = _shift_negates(n, 1)
     values = []     # det_coeff_er of each representative, in order found
     codes = []      # per term: its representative's index r, or ~r if negated
     pending = {}    # unreached images of the representatives: term -> code
@@ -707,7 +721,11 @@ def _det_table(n, terms):
         code = pending.pop(b, None)
         if code is None:
             code = len(values)
-            values.append(det_coeff_er(ExponentVector._trusted(n, b)))
+            # b is the orbit's least term, so b[::-1], also in the orbit,
+            # holds its fewest bricks of the greatest lengths: about half
+            # the engine states that b itself takes
+            value = det_coeff_er(ExponentVector._trusted(n, b[::-1]))
+            values.append(-value if reverse_negates else value)
             for image, negate in images:
                 pending[image(b)] = ~code if negate else code
         codes.append(code)

@@ -447,13 +447,16 @@ class TestFillingWeightRoutes:
         clear_caches()
 
 
+# det_table(n)'s engine states on a fresh engine, n = 1..12
+TABLE_STATES = [2, 2, 4, 6, 10, 25, 33, 114, 199, 685, 1055, 7073]
+
+
 class TestEngineMemo:
     def test_memo_digest_pinned(self):
-        # every memoized state, in insertion order, with its value: after
+        # every memoized state, in insertion order, with its value, after
         # two cold queries per n drawn by random_admissible with
-        # random.Random("engine-memo"), then after det_table(n) for n <= 10
-        # on a fresh engine; recorded when the anchor brick still had a
-        # loop of its own outside the block walk
+        # random.Random("engine-memo"); recorded when the anchor brick
+        # still had a loop of its own outside the block walk
         digest = hashlib.sha256()
         rng = random.Random("engine-memo")
         for n in range(1, 20):
@@ -461,12 +464,26 @@ class TestEngineMemo:
             for _ in range(2):
                 det_coeff_er(ExponentVector(n, random_admissible(rng, n)))
             digest.update(repr(list(circ._ENGINES[n].memo.items())).encode())
+        assert digest.hexdigest() == (
+            "0a6d2f46373648005d8280bca7fc511283ffa0c66a77f192c3b669f1689847de")
+
+    def test_table_memo_digest_pinned(self):
+        # every memoized state, in insertion order, with its value, after
+        # det_table(n) for n <= 10 on a fresh engine; recorded when the
+        # engine was first asked for each orbit's first term read backwards
+        digest = hashlib.sha256()
         for n in range(1, 11):
             circ._ENGINES.pop(n, None)
             det_table(n)
             digest.update(repr(list(circ._ENGINES[n].memo.items())).encode())
         assert digest.hexdigest() == (
-            "1a5153fbe3a5459360b914dcb785c5a8536b59ec4c4686d4477baab5b8554626")
+            "9edcdfd60d57dab1db8a8a3143b575ec52a3946d440bd500390dd55c601e7307")
+
+    def test_table_memo_states_pinned(self):
+        for n in range(1, 13):
+            circ._ENGINES.pop(n, None)
+            det_table(n)
+            assert len(circ._ENGINES[n].memo) == TABLE_STATES[n - 1], n
 
     def test_binomial_rows(self):
         for n in range(1, COEFF_MAX_N + 1):
@@ -568,8 +585,25 @@ class TestOrbitRoute:
             det_table(n)
             assert len(queried) == ORBIT_COUNTS[n - 1], n
             if n < 10:
-                # each orbit's first term in lexicographic order
-                assert queried == [orbit[0] for orbit in affine_orbits(n)]
+                # each orbit's first term in lexicographic order, read
+                # backwards
+                assert queried == \
+                    [orbit[0][::-1] for orbit in affine_orbits(n)]
+
+    def test_reversal_sign(self):
+        # b[::-1] is the image of b under x_j -> x_(1-j), u = -1 and c = 1
+        for n in range(1, 10):
+            coeff = dict(zip((ev.b for ev in permanent_terms(n)),
+                             newton_table(n)))
+            for b, value in coeff.items():
+                assert coeff[b[::-1]] == (-1) ** (n - 1) * value, (n, b)
+
+    @pytest.mark.parametrize("n", [4, 7, 8])
+    def test_wrong_reversal_sign_caught(self, monkeypatch, n):
+        # a wrong sign on the backwards query negates every value it gives
+        monkeypatch.setattr(circ, "det_coeff_er", lambda b: -det_coeff_er(b))
+        with pytest.raises(RouteDisagreement, match=rf"n={n} b=\d"):
+            det_table(n)
 
     def test_matches_newton_oracle(self):
         for n in range(1, 12):

@@ -1,11 +1,15 @@
 """Static checks on the package sources."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "circulant_terms"
+from circulant_terms.circulant import det_table, expand_det
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "circulant_terms"
 
 # __init__.py is left out: its imports are the package's re-exports
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -200,3 +204,29 @@ def test_no_handler_returns_2():
                and isinstance(ret.value, ast.Constant)
                and ret.value.value == 2]
     assert returns == []
+
+
+def _benchmark_child():
+    # perfbench/child.py as it stands, loaded by path
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child
+
+
+def test_benchmark_spans_name_live_functions():
+    # the traced benchmark skips a name that is gone, and its span's
+    # metrics then read 0 or null
+    child = _benchmark_child()
+    missing = [f"{module}.{attr}" for module, attr in child.SPANNED
+               if not callable(getattr(importlib.import_module(
+                   f"{child.PACKAGE}.{module}"), attr, None))]
+    assert missing == []
+
+
+def test_benchmark_cache_sizes_all_read():
+    det_table(6)
+    expand_det(4)
+    sizes = _benchmark_child().cache_sizes()
+    assert sizes and None not in sizes.values()
