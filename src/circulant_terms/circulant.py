@@ -45,18 +45,25 @@ oracle, and the partition sum by the engine and term by term.
   recursion behind filling_weight is a second route to each w, and the
   two meet in its memo.
 
-* det_table: every coefficient of one n at once.  Under the maps
-  x_j -> x_(u*j+c), u a unit mod n, a coefficient changes only by the
-  sign (-1)^(c(n-1)), so det_coeff_er runs once per orbit.  It is asked
-  for the orbit's lexicographically first term read backwards, its
-  image under x_j -> x_(1-j) (u = -1, c = 1, sign (-1)^(n-1)): that
-  term has the fewest bricks of the greatest lengths, the cheapest
-  shape for the engine, which anchors the longest brick and settles
-  the length-1 bricks in one step.  The number of terms the walk yields
-  must be p(n) by the closed form, and a seeded sample of every table
-  is recomputed by the literal per-partition sum, which shares no code
-  with the engine.  It is behind d(n) and the `table`/`verify`
-  subcommands; det_coeff_er alone answers single queries (`coeff`).
+Under the maps x_j -> x_(u*j+c), u a unit mod n, a coefficient changes
+only by the sign (-1)^(c(n-1)) (_shift_negates).  The engine anchors
+the longest brick and settles the length-1 bricks in one step, so an
+image with many length-1 bricks and few long ones costs it fewer
+states than b itself, and each caller asks for the image it has at hand:
+
+* det_coeff_er, behind single queries (`coeff`), asks for the image of
+  b that holds a largest exponent of b at x_1 and has the least q;
+  finding it costs one weighted sum per position and unit.
+
+* det_table: every coefficient of one n at once, one engine query per
+  orbit.  Its walk meets each orbit at its lexicographically first term,
+  and the engine is asked for that term read backwards, its image under
+  x_j -> x_(1-j) (u = -1, c = 1): the fewest bricks of the greatest
+  lengths.  det_coeff_er's choice would cost more states here.  The
+  number of terms the walk yields must be p(n) by the closed form, and
+  a seeded sample of every table is recomputed by the literal
+  per-partition sum, which shares no code with the engine.  It is
+  behind d(n) and the `table`/`verify` subcommands.
 
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
@@ -487,8 +494,32 @@ class _Engine:
             binom.append([1, *map(add, row, row[1:]), 1])
         self.binom = binom
         self.full = (1 << n) - 1
+        # per unit u: the weights (u*j mod n) + 1 that give the q of the
+        # image holding rotation[j] at x_(u*j+1), and the positions of
+        # that image read from the rotation
+        self.units = [(u, [u * j % n + 1 for j in range(n)],
+                       [pow(u, -1, n) * i % n for i in range(n)])
+                      for u in range(n) if gcd(u, n) == 1]
 
-    def coeff(self, b):
+    def image(self, b):
+        """(image, c) for the image of b that det_coeff_er asks for, under
+        x_j -> x_(u*j+c): of the images holding a largest exponent of b
+        at x_1, the first of least q by position, then by unit."""
+        top = max(b)
+        least = self.n ** 2 + 1     # past every q
+        for p, x in enumerate(b):
+            if x == top:
+                rotation = b[p:] + b[:p]
+                for u, weights, layout in self.units:
+                    q = sum(map(mul, rotation, weights))
+                    if q < least:
+                        least, pick = q, (p, u, rotation, layout)
+        p, u, rotation, layout = pick
+        return (tuple([rotation[i] for i in layout]),
+                (1 - u * (p + 1)) % self.n)
+
+    def coeff(self, b, asked=None):
+        # asked: the term an integrality failure names, b by default
         n = self.n
         powers = self.powers
         fact = self.fact
@@ -513,7 +544,8 @@ class _Engine:
             num = -num
         val, rem = divmod(num, den)
         if rem:
-            raise RouteDisagreement(f"n={n} b={','.join(map(str, b))}: "
+            named = ",".join(map(str, b if asked is None else asked))
+            raise RouteDisagreement(f"n={n} b={named}: "
                                     f"the engine gives {num}/{den}, not whole")
         return val
 
@@ -619,8 +651,19 @@ def clear_caches():
 def det_coeff_er(b):
     """The coefficient of x^b in the eigenvalue-product expansion of the
     determinant: equal to det_coeff_oracle(b) up to the global sign
-    eps(n).  Returns 0 immediately when q is not a multiple of n."""
-    return _engine(b.n).coeff(b.b)
+    eps(n).
+
+    The engine is asked for the image of b that _Engine.image picks, and
+    its value is negated when _shift_negates says so.  A largest exponent
+    at x_1 puts the most bricks at length 1, which the engine settles in
+    one step at its leaf, and the least q leaves the fewest bricks of
+    great length, which it anchors and walks.  The image's q is u*q mod
+    n, so when q is not a multiple of n the engine returns 0 unwalked."""
+    n = b.n
+    eng = _engine(n)
+    image, c = eng.image(b.b)
+    value = eng.coeff(image, b.b)
+    return -value if _shift_negates(n, c) else value
 
 
 def det_coeff_er_terms(b):
@@ -712,6 +755,7 @@ def _det_table(n, terms):
     spots = random.Random(n).sample(range(size), min(SPOT_CHECKS, size))
     picked = dict.fromkeys(spots)
     images = _affine_images(n)
+    eng = _engine(n)
     # b[::-1] is b's image under x_j -> x_(1-j), u = -1 and c = 1
     reverse_negates = _shift_negates(n, 1)
     values = []     # det_coeff_er of each representative, in order found
@@ -723,8 +767,9 @@ def _det_table(n, terms):
             code = len(values)
             # b is the orbit's least term, so b[::-1], also in the orbit,
             # holds its fewest bricks of the greatest lengths: about half
-            # the engine states that b itself takes
-            value = det_coeff_er(ExponentVector._trusted(n, b[::-1]))
+            # the engine states that b itself takes; it is asked directly,
+            # as det_coeff_er's own choice of image costs more states here
+            value = eng.coeff(b[::-1])
             values.append(-value if reverse_negates else value)
             for image, negate in images:
                 pending[image(b)] = ~code if negate else code

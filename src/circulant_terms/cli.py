@@ -20,12 +20,13 @@ import sys
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .exactmath import RouteDisagreement, admit, prime_power
+from .exactmath import (RouteDisagreement, admit, multinomial,
+                        prime_power, valuation)
 from .partitions import partitions_of
 from .bricks import m_to_p_expansion
 from .circulant import (ExponentVector, ORACLE_MAX_N, _det_table, d_count,
-                        det_coeff_er, det_coeff_oracle, expand_det, p_count,
-                        sign_epsilon)
+                        det_coeff_er, det_coeff_oracle, expand_det,
+                        hall_admissible, p_count, sign_epsilon)
 from .theorem import dominance_table
 
 # Reference term counts for n = 1..12 as (d, p); every entry is
@@ -40,7 +41,10 @@ REFERENCE_COUNTS = {
 
 VERIFY_MAX_N = 12
 
-# cold coeff queries: seconds at n = 24, past a minute at 26 (see README)
+# a cold coeff query at n = 24 takes 0.05-3.1 s on random draws, but the
+# dense term (all ones, a 2 at x_1 and a 0 at x_13; box prod(b_i + 1) =
+# 12,582,912) takes 95-152 s at 83 MB: 2 s at n = 20, 13-18 s at 22
+# (see README)
 COEFF_MAX_N = 24
 
 
@@ -157,8 +161,11 @@ def cmd_table(args):
 
 
 def cmd_coeff(args):
-    """The exact coefficient of x^b in det(A), by the requested method(s);
-    with both, the row is written before admit's disagreement goes on."""
+    """The exact coefficient of x^b in det(A), by the requested method(s).
+    For an admissible b at a prime power n = p^s, each coefficient's
+    p-adic valuation must be that of n!/prod(b_i!), the theorem's
+    dominant class, before any row is written.  With both, the row is
+    written before admit's disagreement between the routes goes on."""
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
     if args.n > COEFF_MAX_N:
@@ -172,10 +179,22 @@ def cmd_coeff(args):
         raise ValueError("oracle bound exceeded")
     row = {"n": str(args.n), "b": str(b)}
     disagreement = None
+    values = {}
     if args.method in ("er", "both"):
         row["coeff_er"] = str(er := det_coeff_er(b))
+        values["the partition sum"] = er
     if args.method in ("oracle", "both"):
         row["coeff_oracle"] = str(oracle := det_coeff_oracle(b))
+        values["the expansion oracle"] = oracle
+    power = prime_power(args.n)
+    if power is not None and hall_admissible(b):
+        # at n = p^s the <q> class alone sets v_p of the coefficient
+        p = power[0]
+        expected = valuation(multinomial(args.n, b.b), p)
+        for route, value in values.items():
+            admit(args.n, b.b, f"the {p}-adic valuation", {
+                route: valuation(value, p) if value else "infinite",
+                "the multinomial n!/prod(b_i!)": expected})
     if args.method == "both":
         eps = sign_epsilon(args.n)
         row["sign_epsilon"] = f"{eps:+d}"

@@ -7,7 +7,7 @@ denominator.  Nothing here ever touches floating point.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 
 class RouteDisagreement(RuntimeError):
@@ -51,16 +51,16 @@ def _int_valuation(n, p):
 
 
 def multinomial(m, parts):
-    """Return m! / prod(parts_i!) for non-negative parts summing to m."""
-    parts = list(parts)
-    if any(d < 0 for d in parts):
-        raise ValueError("parts must be non-negative")
+    """Return m! / prod(parts_i!) for a sequence of non-negative parts
+    summing to m."""
     if sum(parts) != m:
         raise ValueError("parts must sum to m")
-    num = factorial(m)
-    for d in parts:
-        num //= factorial(d)
-    return num
+    try:
+        den = prod(map(factorial, parts))
+    except ValueError:
+        # factorial refuses a negative part
+        raise ValueError("parts must be non-negative") from None
+    return factorial(m) // den
 
 
 def factorize(n):

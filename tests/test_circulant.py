@@ -393,22 +393,69 @@ class TestEngineBeyondOracle:
                 assert det_coeff_er(ev) == \
                     sum(det_coeff_er_terms(ev).values()), ev
 
+    # one cold query each, b drawn by random_admissible with
+    # random.Random("engine-states")
+    STATE_DRAWS = {
+        16: (1, 1, 0, 2, 2, 0, 0, 0, 2, 1, 1, 1, 0, 4, 0, 1),
+        17: (0, 0, 1, 0, 1, 0, 3, 0, 3, 0, 0, 4, 0, 0, 0, 2, 3),
+        18: (0, 0, 0, 5, 3, 2, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 5),
+        19: (0, 1, 4, 0, 0, 2, 1, 1, 1, 0, 0, 1, 0, 2, 2, 1, 1, 1, 1),
+    }
+
     def test_memo_states_pinned(self):
-        # one cold query each, b drawn by random_admissible with
-        # random.Random("engine-states"); the counts were measured with
+        # the engine asked for b itself; the counts were measured with
         # the unpruned block walk, and pruning must not change them
-        cases = {
-            16: ((1, 1, 0, 2, 2, 0, 0, 0, 2, 1, 1, 1, 0, 4, 0, 1), 269),
-            17: ((0, 0, 1, 0, 1, 0, 3, 0, 3, 0, 0, 4, 0, 0, 0, 2, 3), 175),
-            18: ((0, 0, 0, 5, 3, 2, 0, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 5),
-                 121),
-            19: ((0, 1, 4, 0, 0, 2, 1, 1, 1, 0, 0, 1, 0, 2, 2, 1, 1, 1, 1),
-                 1821),
-        }
-        for n, (b, states) in cases.items():
+        for n, states in {16: 269, 17: 175, 18: 121, 19: 1821}.items():
             circ._ENGINES.pop(n, None)
-            det_coeff_er(ExponentVector(n, b))
+            circ._engine(n).coeff(self.STATE_DRAWS[n])
             assert len(circ._ENGINES[n].memo) == states, n
+
+    def test_image_states_pinned(self):
+        # det_coeff_er asks the engine for the image _Engine.image picks
+        for n, states in {16: 272, 17: 117, 18: 73, 19: 1821}.items():
+            circ._ENGINES.pop(n, None)
+            det_coeff_er(ExponentVector(n, self.STATE_DRAWS[n]))
+            assert len(circ._ENGINES[n].memo) == states, n
+
+
+class TestImageQuery:
+    """det_coeff_er asks the engine for one image of b under the maps
+    x_j -> x_(u*j+c) and negates it by _shift_negates(n, c)."""
+
+    def test_equals_engine_on_b_for_every_term(self):
+        for n in range(1, 11):
+            raw = circ._Engine(n)
+            for ev in permanent_terms(n):
+                assert det_coeff_er(ev) == raw.coeff(ev.b), ev
+
+    def test_equals_engine_on_b_past_the_oracle(self):
+        rng = random.Random("image-query")
+        for n in range(13, 20):
+            for _ in range(3):
+                b = random_admissible(rng, n)
+                assert det_coeff_er(ExponentVector(n, b)) == \
+                    circ._Engine(n).coeff(b), (n, b)
+
+    def test_image_is_the_first_of_least_q_with_max_at_x1(self):
+        def q(b):
+            return sum(i * x for i, x in enumerate(b, 1))
+
+        for n in range(1, 10):
+            units = sorted({u for u, _ in affine_maps(n)})
+            for ev in permanent_terms(n):
+                b = ev.b
+                image, c = circ._engine(n).image(b)
+                # x_(p+1) -> x_1 under x_j -> x_(u*j+c), by position p,
+                # then by unit u
+                maps = [(u, (1 - u * (p + 1)) % n)
+                        for p, x in enumerate(b) if x == max(b)
+                        for u in units]
+                images = [affine_image(b, u, cc) for u, cc in maps]
+                assert all(im[0] == max(b) for im in images)
+                least = min(map(q, images))
+                first = next(i for i, im in enumerate(images)
+                             if q(im) == least)
+                assert (image, c) == (images[first], maps[first][1]), b
 
 
 class TestFillingWeightRoutes:
@@ -462,7 +509,7 @@ class TestEngineMemo:
         for n in range(1, 20):
             circ._ENGINES.pop(n, None)
             for _ in range(2):
-                det_coeff_er(ExponentVector(n, random_admissible(rng, n)))
+                circ._engine(n).coeff(random_admissible(rng, n))
             digest.update(repr(list(circ._ENGINES[n].memo.items())).encode())
         assert digest.hexdigest() == (
             "0a6d2f46373648005d8280bca7fc511283ffa0c66a77f192c3b669f1689847de")
@@ -537,7 +584,8 @@ class TestDetTable:
             det_table(0)
 
     def test_spot_check_catches_disagreement(self, monkeypatch):
-        monkeypatch.setattr(circ, "det_coeff_er", lambda b: 10 ** 6)
+        monkeypatch.setattr(circ._Engine, "coeff",
+                            lambda self, b, asked=None: 10 ** 6)
         with pytest.raises(RouteDisagreement, match=r"n=5 b=\d"):
             det_table(5)
 
@@ -574,12 +622,13 @@ class TestOrbitRoute:
 
     def test_one_engine_query_per_orbit(self, monkeypatch):
         queried = []
+        coeff = circ._Engine.coeff
 
-        def spy(b):
-            queried.append(b.b)
-            return det_coeff_er(b)
+        def spy(self, b, asked=None):
+            queried.append(b)
+            return coeff(self, b, asked)
 
-        monkeypatch.setattr(circ, "det_coeff_er", spy)
+        monkeypatch.setattr(circ._Engine, "coeff", spy)
         for n in range(1, 13):
             queried.clear()
             det_table(n)
@@ -601,7 +650,9 @@ class TestOrbitRoute:
     @pytest.mark.parametrize("n", [4, 7, 8])
     def test_wrong_reversal_sign_caught(self, monkeypatch, n):
         # a wrong sign on the backwards query negates every value it gives
-        monkeypatch.setattr(circ, "det_coeff_er", lambda b: -det_coeff_er(b))
+        coeff = circ._Engine.coeff
+        monkeypatch.setattr(circ._Engine, "coeff",
+                            lambda self, b, asked=None: -coeff(self, b, asked))
         with pytest.raises(RouteDisagreement, match=rf"n={n} b=\d"):
             det_table(n)
 

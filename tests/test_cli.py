@@ -3,12 +3,15 @@ import hashlib
 import io
 import json
 import os
+import random
 import stat
 import subprocess
 import sys
+from math import prod
 
 import pytest
 
+from oracles import random_admissible
 import circulant_terms.circulant as circ
 from circulant_terms import cli
 
@@ -95,13 +98,14 @@ class TestTable:
 
 
 class TestSpotCheck:
-    """det_table recomputes seeded terms by det_coeff_er; a difference
-    is a disagreement between routes."""
+    """det_table recomputes seeded terms by the literal per-partition
+    sum; a difference from the engine is a disagreement between routes."""
 
     @pytest.mark.parametrize("argv", [["table", "--max-n", "4"],
                                       ["verify", "4"], ["verify", "6"]])
     def test_disagreement_exits_2(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(circ, "det_coeff_er", lambda b: 10 ** 6)
+        monkeypatch.setattr(circ._Engine, "coeff",
+                            lambda self, b, asked=None: 10 ** 6)
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
@@ -295,6 +299,94 @@ class TestOrbitDigests:
         code, out, _ = run(capsys, argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestCoeffDigests:
+    """SHA-256 of the stdout of 24 `coeff` queries past the oracle bound,
+    recorded when the engine was asked for b itself: it pins the sign
+    the engine's image of b takes.  Two draws per n = 13..24, redrawn
+    until the box size prod(b_i + 1) is at most BOX; each took under
+    0.1 s then, and 7 of the 24 images negate."""
+
+    BOX = 20000
+
+    @staticmethod
+    def queries():
+        rng = random.Random("coeff-output")
+        out = []
+        for n in range(13, 25):
+            for _ in range(2):
+                b = random_admissible(rng, n)
+                while prod(x + 1 for x in b) > TestCoeffDigests.BOX:
+                    b = random_admissible(rng, n)
+                out.append((n, b))
+        return out
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv",
+         "871bb2cf30f15b73a1e36104fe3f982fa74f9c93b9a848a856fa70abdda3a1d7"),
+        ("json",
+         "720117da78dab407249fb3002c791b634e1595246d4a15fda2a9232ee5749735"),
+    ])
+    def test_stdout_is_byte_identical(self, capsys, fmt, digest):
+        sha = hashlib.sha256()
+        for n, b in self.queries():
+            code, out, err = run(capsys, ["coeff", str(n),
+                                          ",".join(map(str, b)),
+                                          "--format", fmt])
+            assert (code, err) == (0, ""), (n, b)
+            sha.update(out.encode())
+        assert sha.hexdigest() == digest
+
+
+class TestPrimePowerValuation:
+    """At n = p^s, coeff admits v_p of each coefficient against
+    v_p(n!/prod(b_i!)) before it writes the row."""
+
+    @pytest.mark.parametrize("argv, route, factor", [
+        (["coeff", "8", "1,0,3,2,0,0,2,0"], "det_coeff_er", 2),
+        (["coeff", "9", "2,0,1,2,0,0,2,0,2"], "det_coeff_er", 3),
+        (["coeff", "9", "2,0,1,2,0,0,2,0,2", "--method", "oracle"],
+         "det_coeff_oracle", 3),
+        (["coeff", "9", "2,0,1,2,0,0,2,0,2", "--method", "both"],
+         "det_coeff_oracle", 3),
+        (["coeff", "16", "1,0,4,4,2,1,2,0,1,0,0,1,0,0,0,0"],
+         "det_coeff_er", 2),
+    ])
+    def test_coefficient_off_by_p_exits_2(self, capsys, monkeypatch, argv,
+                                          route, factor):
+        right = getattr(cli, route)
+        monkeypatch.setattr(cli, route, lambda b: factor * right(b))
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, argv + ["--format", fmt])
+            assert (code, out) == (2, "")
+            assert err.startswith(f"inconsistency: n={argv[1]} "
+                                  f"b={argv[2]}: the {factor}-adic "
+                                  f"valuation disagrees: ")
+            assert err.endswith(" by the multinomial n!/prod(b_i!)\n")
+            assert err.count("\n") == 1
+
+    def test_zero_at_a_prime_power_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "det_coeff_er", lambda b: 0)
+        code, out, err = run(capsys, ["coeff", "7", "1,1,1,1,1,1,1"])
+        assert (code, out) == (2, "")
+        assert err == ("inconsistency: n=7 b=1,1,1,1,1,1,1: the 7-adic "
+                       "valuation disagrees: infinite by the partition "
+                       "sum, 1 by the multinomial n!/prod(b_i!)\n")
+
+    @pytest.mark.parametrize("argv, row", [
+        # vanishing terms the check must let through: composite n, and
+        # a b that is not admissible at a prime power
+        (["coeff", "6", "1,1,1,1,1,1"], '6,"1,1,1,1,1,1",0'),
+        (["coeff", "2", "1,1"], '2,"1,1",0'),
+        (["coeff", "4", "1,1,1,1", "--method", "both"],
+         '4,"1,1,1,1",0,0,-1,true'),
+    ])
+    def test_zero_passes_where_the_theorem_is_silent(self, capsys, argv,
+                                                     row):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == row
 
 
 class TestCoeff:
@@ -670,10 +762,12 @@ class TestOneLineDisagreement:
                                 "disagrees: 9 by dominance_table, 10 by p")
 
     def test_engine_integrality(self, capsys, monkeypatch):
-        # 1/4 planted as h of b's bricks: prod(b_i!) = 4 does not divide it
+        # 1/4 planted as h of the bricks of 2,0,2,0, the image of b the
+        # engine is asked for: prod(b_i!) = 4 does not divide it, and the
+        # line names b as asked
         monkeypatch.setattr(circ, "_ENGINES", {})
         engine = circ._engine(4)
-        engine.memo[2 * engine.powers[1] + 2 * engine.powers[3]] = 1
+        engine.memo[2 * engine.powers[0] + 2 * engine.powers[2]] = 1
         code, out, err = run(capsys, ["coeff", "4", "0,2,0,2"])
         assert (code, out) == (2, "")
         self._one_line(err, "inconsistency: n=4 b=0,2,0,2: the engine "
