@@ -52,18 +52,20 @@ image with many length-1 bricks and few long ones costs it fewer
 states than b itself, and each caller asks for the image it has at hand:
 
 * det_coeff_er, behind single queries (`coeff`), asks for the image of
-  b that holds a largest exponent of b at x_1 and has the least q;
-  finding it costs one weighted sum per position and unit.
+  b that holds a largest exponent of b at x_n and has the least q;
+  finding it costs one weighted sum per position and unit.  Bricks of
+  length n cost the engine nothing: [x^b] is (-1)^(b_n) times the
+  engine's value at b with b_n set to 0 (proved at det_coeff_er), so
+  the query sheds max(b) bricks before any walk.
 
 * det_table: every coefficient of one n at once, one engine query per
   orbit.  Its walk meets each orbit at its lexicographically first term,
   and the engine is asked for that term read backwards, its image under
   x_j -> x_(1-j) (u = -1, c = 1): the fewest bricks of the greatest
-  lengths.  det_coeff_er's choice would cost more states here.  The
-  number of terms the walk yields must be p(n) by the closed form, and
-  a seeded sample of every table is recomputed by the literal
-  per-partition sum, which shares no code with the engine.  It is
-  behind d(n) and the `table`/`verify` subcommands.
+  lengths.  The number of terms the walk yields must be p(n) by the
+  closed form, and a seeded sample of every table is recomputed by the
+  literal per-partition sum, which shares no code with the engine.  It
+  is behind d(n) and the `table`/`verify` subcommands.
 
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
@@ -494,17 +496,33 @@ class _Engine:
             binom.append([1, *map(add, row, row[1:]), 1])
         self.binom = binom
         self.full = (1 << n) - 1
-        # per unit u: the weights (u*j mod n) + 1 that give the q of the
-        # image holding rotation[j] at x_(u*j+1), and the positions of
-        # that image read from the rotation
-        self.units = [(u, [u * j % n + 1 for j in range(n)],
-                       [pow(u, -1, n) * i % n for i in range(n)])
-                      for u in range(n) if gcd(u, n) == 1]
+        # per unit u: the weights u*j mod n that give the q of the image
+        # holding rotation[j] at x_(u*j) (x_n for u*j = 0 mod n), but for
+        # the n*max(b) that every candidate holds at x_n, and the
+        # positions of that image read from the rotation
+        self.units = []
+        for u in range(n):
+            if gcd(u, n) == 1:
+                v = pow(u, -1, n)
+                self.units.append((u, [u * j % n for j in range(n)],
+                                   [v * i % n for i in range(1, n + 1)]))
 
     def image(self, b):
         """(image, c) for the image of b that det_coeff_er asks for, under
         x_j -> x_(u*j+c): of the images holding a largest exponent of b
-        at x_1, the first of least q by position, then by unit."""
+        at x_n, the first of least q by position, then by unit.  Sending
+        x_(p+1) to x_n takes c = -u(p+1) mod n, and moves the exponent
+        rotation[j] = b[(p+j) mod n] to x_(u*j mod n).
+
+        det_coeff_er asks the engine for the image with x_n set to 0:
+        [x^b] = (-1)^(b_n) * (the engine at b with b_n set to 0), as a
+        brick of length n is a cycle of its own or follows another
+        brick in one (proved there).  Moving a largest exponent to x_n
+        sheds the most bricks, and the least q of the rest leaves the
+        fewest long bricks: 14,504 states in all, 0.6 s, on the 18
+        draws of tests/oracles.heavy_draws, where b itself takes 68,346
+        states and 5-7 s, and the whole image with max(b) at x_1 72,602
+        and 4.3 s."""
         top = max(b)
         least = self.n ** 2 + 1     # past every q
         for p, x in enumerate(b):
@@ -516,7 +534,7 @@ class _Engine:
                         least, pick = q, (p, u, rotation, layout)
         p, u, rotation, layout = pick
         return (tuple([rotation[i] for i in layout]),
-                (1 - u * (p + 1)) % self.n)
+                -u * (p + 1) % self.n)
 
     def coeff(self, b, asked=None):
         # asked: the term an integrality failure names, b by default
@@ -653,17 +671,33 @@ def det_coeff_er(b):
     determinant: equal to det_coeff_oracle(b) up to the global sign
     eps(n).
 
-    The engine is asked for the image of b that _Engine.image picks, and
-    its value is negated when _shift_negates says so.  A largest exponent
-    at x_1 puts the most bricks at length 1, which the engine settles in
-    one step at its leaf, and the least q leaves the fewest bricks of
-    great length, which it anchors and walks.  The image's q is u*q mod
-    n, so when q is not a multiple of n the engine returns 0 unwalked."""
+    The engine's h(S) (see _Engine) sums prod (-n)*(|B|-1)! over the
+    set partitions of the bricks of S.  Reading (|B|-1)! as the cyclic
+    orders on a block B, h(S) sums (-n)^(number of cycles) over the
+    permutations of S's bricks whose cycles each have a length-sum
+    divisible by n.  A brick z of length n is either a cycle of its own
+    (a factor -n) or follows one of the |S| other bricks in a cycle,
+    which keeps that cycle's sum, so h(S + {z}) = (|S| - n) * h(S).
+    Adding the b_n bricks of length n to the n - b_n others gives
+    h(mu) = (-1)^(b_n) * b_n! * h(mu without them), and b_n! cancels
+    against prod(b_i!):
+
+        [x^b] = (-1)^(b_n) * (the engine's value at b with b_n set to 0).
+
+    So the engine is asked for the image of b that _Engine.image picks,
+    which holds max(b) at x_n, with x_n set to 0, and the value is
+    negated when exactly one of _shift_negates(n, c) and "max(b) is odd"
+    holds.  Dropping a largest exponent divides the box prod(b_i + 1),
+    which bounds the engine's states, by the most, and the least q
+    leaves the fewest bricks of great length, which it anchors and
+    walks.  The image's q is u*q mod n, so when q is not a multiple of n
+    the engine returns 0 unwalked."""
     n = b.n
     eng = _engine(n)
     image, c = eng.image(b.b)
-    value = eng.coeff(image, b.b)
-    return -value if _shift_negates(n, c) else value
+    value = eng.coeff(image[:-1] + (0,), b.b)
+    odd = image[-1] % 2 == 1
+    return -value if _shift_negates(n, c) != odd else value
 
 
 def det_coeff_er_terms(b):
@@ -767,8 +801,7 @@ def _det_table(n, terms):
             code = len(values)
             # b is the orbit's least term, so b[::-1], also in the orbit,
             # holds its fewest bricks of the greatest lengths: about half
-            # the engine states that b itself takes; it is asked directly,
-            # as det_coeff_er's own choice of image costs more states here
+            # the engine states that b itself takes
             value = eng.coeff(b[::-1])
             values.append(-value if reverse_negates else value)
             for image, negate in images:

@@ -41,10 +41,11 @@ REFERENCE_COUNTS = {
 
 VERIFY_MAX_N = 12
 
-# a cold coeff query at n = 24 takes 0.05-3.1 s on random draws, but the
-# dense term (all ones, a 2 at x_1 and a 0 at x_13; box prod(b_i + 1) =
-# 12,582,912) takes 95-152 s at 83 MB: 2 s at n = 20, 13-18 s at 22
-# (see README)
+# a cold coeff process at n = 24 takes 0.08-0.25 s on random draws, but
+# the dense term (all ones, a 2 at x_1 and a 0 at x_13; box
+# prod(b_i + 1) = 12,582,912, a third of it once det_coeff_er drops the
+# 2 as length-n bricks) takes 19 s at 44 MB: 0.6 s at n = 20, 2.8 s at
+# 22 (see README)
 COEFF_MAX_N = 24
 
 

@@ -4,6 +4,7 @@ Everything here enumerates explicitly and slowly; the package's closed
 forms and recursions are checked against these on small inputs.
 """
 
+import random
 from collections import Counter
 from itertools import permutations
 from math import factorial, gcd, prod
@@ -40,6 +41,17 @@ def random_admissible(rng, n):
                   for lo, hi in zip([-1] + cuts, cuts + [2 * n - 1]))
         if sum(i * x for i, x in enumerate(b, 1)) % n == 0:
             return b
+
+
+def heavy_draws():
+    """(n, b) for the first six random_admissible draws of a fresh
+    random.Random(5) at each n = 22..24: single queries of up to
+    seconds, with b's own engine states from 1,195 to 12,961."""
+    out = []
+    for n in (22, 23, 24):
+        rng = random.Random(5)
+        out += [(n, random_admissible(rng, n)) for _ in range(6)]
+    return out
 
 
 def random_sparse_admissible(rng, n, k):

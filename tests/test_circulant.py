@@ -7,9 +7,9 @@ from math import comb
 import pytest
 
 from oracles import (admissible_by_filter, affine_image, affine_maps,
-                     affine_orbits, inversion_sign, leibniz_table,
-                     newton_table, random_admissible,
-                     random_sparse_admissible)
+                     affine_orbits, heavy_draws, inversion_sign,
+                     leibniz_table, newton_table, random_admissible,
+                     random_sparse_admissible, weak_compositions)
 import circulant_terms.bricks as bricks
 import circulant_terms.circulant as circ
 from circulant_terms.circulant import (
@@ -411,11 +411,22 @@ class TestEngineBeyondOracle:
             assert len(circ._ENGINES[n].memo) == states, n
 
     def test_image_states_pinned(self):
-        # det_coeff_er asks the engine for the image _Engine.image picks
-        for n, states in {16: 272, 17: 117, 18: 73, 19: 1821}.items():
+        # det_coeff_er asks the engine for the image _Engine.image picks,
+        # with x_n set to 0
+        for n, states in {16: 57, 17: 24, 18: 13, 19: 364}.items():
             circ._ENGINES.pop(n, None)
             det_coeff_er(ExponentVector(n, self.STATE_DRAWS[n]))
             assert len(circ._ENGINES[n].memo) == states, n
+
+    def test_heavy_image_states_pinned(self):
+        # one cold query per draw; the engine asked for b itself takes
+        # 1,195 to 12,961 states on each
+        states = [151, 522, 944, 631, 838, 1256, 902, 1360, 375,
+                  669, 402, 418, 360, 481, 1081, 206, 3457, 451]
+        for (n, b), expected in zip(heavy_draws(), states, strict=True):
+            circ._ENGINES.pop(n, None)
+            det_coeff_er(ExponentVector(n, b))
+            assert len(circ._ENGINES[n].memo) == expected, (n, b)
 
 
 class TestImageQuery:
@@ -436,7 +447,19 @@ class TestImageQuery:
                 assert det_coeff_er(ExponentVector(n, b)) == \
                     circ._Engine(n).coeff(b), (n, b)
 
-    def test_image_is_the_first_of_least_q_with_max_at_x1(self):
+    def test_length_n_bricks_drop_in_closed_form(self):
+        # [x^b] = (-1)^(b_n) * the engine at b with b_n set to 0, on every
+        # weak composition to n = 7, admissible or not, and on every
+        # admissible term to n = 10
+        for n in range(1, 11):
+            terms = (weak_compositions(n, n) if n <= 7
+                     else (ev.b for ev in permanent_terms(n)))
+            whole, dropped = circ._Engine(n), circ._Engine(n)
+            for b in terms:
+                assert whole.coeff(b) == \
+                    (-1) ** b[-1] * dropped.coeff(b[:-1] + (0,)), b
+
+    def test_image_is_the_first_of_least_q_with_max_at_xn(self):
         def q(b):
             return sum(i * x for i, x in enumerate(b, 1))
 
@@ -445,13 +468,13 @@ class TestImageQuery:
             for ev in permanent_terms(n):
                 b = ev.b
                 image, c = circ._engine(n).image(b)
-                # x_(p+1) -> x_1 under x_j -> x_(u*j+c), by position p,
+                # x_(p+1) -> x_n under x_j -> x_(u*j+c), by position p,
                 # then by unit u
-                maps = [(u, (1 - u * (p + 1)) % n)
+                maps = [(u, -u * (p + 1) % n)
                         for p, x in enumerate(b) if x == max(b)
                         for u in units]
                 images = [affine_image(b, u, cc) for u, cc in maps]
-                assert all(im[0] == max(b) for im in images)
+                assert all(im[-1] == max(b) for im in images)
                 least = min(map(q, images))
                 first = next(i for i, im in enumerate(images)
                              if q(im) == least)

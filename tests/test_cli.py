@@ -11,7 +11,7 @@ from math import prod
 
 import pytest
 
-from oracles import random_admissible
+from oracles import heavy_draws, random_admissible
 import circulant_terms.circulant as circ
 from circulant_terms import cli
 
@@ -337,6 +337,22 @@ class TestCoeffDigests:
             assert (code, err) == (0, ""), (n, b)
             sha.update(out.encode())
         assert sha.hexdigest() == digest
+
+    def test_heavy_stdout_is_byte_identical(self, capsys):
+        # the 18 draws of oracles.heavy_draws and the dense term of n = 20
+        # (all ones, a 2 at x_1 and a 0 at x_11), recorded when the engine
+        # was asked for an image holding max(b) at x_1 in full: it pins
+        # the sign (-1)^(b_n) of the length-n bricks the engine now drops
+        dense = [1] * 20
+        dense[0], dense[10] = 2, 0
+        sha = hashlib.sha256()
+        for n, b in heavy_draws() + [(20, dense)]:
+            code, out, err = run(capsys, ["coeff", str(n),
+                                          ",".join(map(str, b))])
+            assert (code, err) == (0, ""), (n, b)
+            sha.update(out.encode())
+        assert sha.hexdigest() == (
+            "fdf7edf0265925f96ffe196a14a8f5297a1792b695407630423bb704e471487e")
 
 
 class TestPrimePowerValuation:
@@ -762,16 +778,16 @@ class TestOneLineDisagreement:
                                 "disagrees: 9 by dominance_table, 10 by p")
 
     def test_engine_integrality(self, capsys, monkeypatch):
-        # 1/4 planted as h of the bricks of 2,0,2,0, the image of b the
-        # engine is asked for: prod(b_i!) = 4 does not divide it, and the
-        # line names b as asked
+        # 1 planted as h of the bricks of x_2^2, what the engine is asked
+        # for once the image 0,2,0,2 of b drops its x_4: prod(b_i!) = 2
+        # does not divide it, and the line names b as asked
         monkeypatch.setattr(circ, "_ENGINES", {})
         engine = circ._engine(4)
-        engine.memo[2 * engine.powers[0] + 2 * engine.powers[2]] = 1
+        engine.memo[2 * engine.powers[1]] = 1
         code, out, err = run(capsys, ["coeff", "4", "0,2,0,2"])
         assert (code, out) == (2, "")
         self._one_line(err, "inconsistency: n=4 b=0,2,0,2: the engine "
-                            "gives 1/4")
+                            "gives 1/2")
 
     def test_divisor_sum_integrality(self, capsys, monkeypatch):
         # with every phi taken as 1 the divisor sum of 3 is 11
