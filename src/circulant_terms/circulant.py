@@ -49,23 +49,23 @@ Under the maps x_j -> x_(u*j+c), u a unit mod n, a coefficient changes
 only by the sign (-1)^(c(n-1)) (_shift_negates).  The engine anchors
 the longest brick and settles the length-1 bricks in one step, so an
 image with many length-1 bricks and few long ones costs it fewer
-states than b itself, and each caller asks for the image it has at hand:
+states than b itself.  det_coeff_er is the one caller of the engine:
+it asks for the image of b that holds a largest exponent of b at x_n
+and has the least q; finding it costs one weighted sum per position and
+unit.  Bricks of length n cost the engine nothing: [x^b] is (-1)^(b_n)
+times the engine's value at b with b_n set to 0 (proved at
+det_coeff_er), so the query sheds max(b) bricks before any walk.  Each
+unit's layout in _Engine.units is the one statement of the substitution
+(_Engine.image and _affine_images read it).
 
-* det_coeff_er, behind single queries (`coeff`), asks for the image of
-  b that holds a largest exponent of b at x_n and has the least q;
-  finding it costs one weighted sum per position and unit.  Bricks of
-  length n cost the engine nothing: [x^b] is (-1)^(b_n) times the
-  engine's value at b with b_n set to 0 (proved at det_coeff_er), so
-  the query sheds max(b) bricks before any walk.
-
-* det_table: every coefficient of one n at once, one engine query per
-  orbit.  Its walk meets each orbit at its lexicographically first term,
-  and the engine is asked for that term read backwards, its image under
-  x_j -> x_(1-j) (u = -1, c = 1): the fewest bricks of the greatest
-  lengths.  The number of terms the walk yields must be p(n) by the
-  closed form, and a seeded sample of every table is recomputed by the
-  literal per-partition sum, which shares no code with the engine.  It
-  is behind d(n) and the `table`/`verify` subcommands.
+det_table gives every coefficient of one n at once from one det_coeff_er
+query per orbit: its walk meets each orbit at its lexicographically
+first term, takes that term's value from det_coeff_er and gives each of
+its images under the maps the signed value.  The number of terms the
+walk yields must be p(n) by the closed form, and a seeded sample of
+every table is recomputed by the literal per-partition sum, which
+shares no code with the engine.  It is behind d(n) and the
+`table`/`verify` subcommands.
 
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
@@ -429,7 +429,7 @@ def expand_det(n):
     sums = _leibniz(n, (n,) * n, first=0)
     raw = {}
     for c in range(n):
-        sign = -1 if c * (n - 1) % 2 else 1
+        sign = -1 if _shift_negates(n, c) else 1
         for key, coeff in sums.items():
             shifted = key[n - c:] + key[:n - c]
             raw[shifted] = raw.get(shifted, 0) + sign * coeff
@@ -748,19 +748,18 @@ def _affine_images(n):
     """(image, negate) for each map x_j -> x_(u*j+c), u a unit mod n,
     other than the identity: image(b) is the exponent tuple of x^b after
     the substitution, and negate, from _shift_negates, tells whether its
-    coefficient is minus that of x^b."""
+    coefficient is minus that of x^b.  The maps are read from the
+    engine's per-unit layouts: the one sending x_(p+1) to x_n takes
+    c = -u(p+1) mod n, and its image reads b at (p + j) mod n for each j
+    of the layout."""
     identity = list(range(n))
     images = []
-    for u in range(n):
-        if gcd(u, n) != 1:
-            continue
-        for c in range(n):
-            # position i holds the exponent of x_(i+1)
-            source = [0] * n
-            for i in range(n):
-                source[(u * (i + 1) + c - 1) % n] = i
+    for u, _, layout in _engine(n).units:
+        for p in range(n):
+            source = [(p + j) % n for j in layout]
             if source != identity:
-                images.append((itemgetter(*source), _shift_negates(n, c)))
+                images.append((itemgetter(*source),
+                               _shift_negates(n, -u * (p + 1) % n)))
     return images
 
 
@@ -769,9 +768,9 @@ def det_table(n):
     as a list aligned with permanent_terms(n).
 
     One pass in lexicographic order meets each affine orbit at its first
-    term b, asks det_coeff_er for b[::-1], its image under x_j -> x_(1-j)
-    and the orbit's cheapest term for the engine, and gives b and its
-    images their signed values.
+    term b, takes b's value from det_coeff_er, and gives each image of b
+    under _affine_images the signed value; an integrality failure in the
+    engine names b.
     The walk must yield p_count(n) terms, by the closed form, and
     SPOT_CHECKS terms drawn with random.Random(n) must equal the literal
     per-partition sum of det_coeff_er_terms; if not, admit raises
@@ -789,9 +788,6 @@ def _det_table(n, terms):
     spots = random.Random(n).sample(range(size), min(SPOT_CHECKS, size))
     picked = dict.fromkeys(spots)
     images = _affine_images(n)
-    eng = _engine(n)
-    # b[::-1] is b's image under x_j -> x_(1-j), u = -1 and c = 1
-    reverse_negates = _shift_negates(n, 1)
     values = []     # det_coeff_er of each representative, in order found
     codes = []      # per term: its representative's index r, or ~r if negated
     pending = {}    # unreached images of the representatives: term -> code
@@ -799,11 +795,7 @@ def _det_table(n, terms):
         code = pending.pop(b, None)
         if code is None:
             code = len(values)
-            # b is the orbit's least term, so b[::-1], also in the orbit,
-            # holds its fewest bricks of the greatest lengths: about half
-            # the engine states that b itself takes
-            value = eng.coeff(b[::-1])
-            values.append(-value if reverse_negates else value)
+            values.append(det_coeff_er(ExponentVector._trusted(n, b)))
             for image, negate in images:
                 pending[image(b)] = ~code if negate else code
         codes.append(code)

@@ -255,7 +255,7 @@ def cmd_verify(args):
         print(f"{passes}/{len(terms)} dominance passes, d={nonzero}, "
               f"p={len(terms)}", file=sys.stderr)
     else:
-        rows = [{"n": str(n), "b": str(ExponentVector._trusted(n, b)),
+        rows = [{"n": str(n), "b": ",".join(map(str, b)),
                  "pass": "false", "valuations": ""}
                 for b, c in zip(terms, coeffs) if not c]
         _emit(fieldnames, rows, args.format, args.out)

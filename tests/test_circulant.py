@@ -518,7 +518,7 @@ class TestFillingWeightRoutes:
 
 
 # det_table(n)'s engine states on a fresh engine, n = 1..12
-TABLE_STATES = [2, 2, 4, 6, 10, 25, 33, 114, 199, 685, 1055, 7073]
+TABLE_STATES = [1, 1, 2, 3, 5, 12, 17, 52, 89, 310, 453, 3115]
 
 
 class TestEngineMemo:
@@ -539,15 +539,15 @@ class TestEngineMemo:
 
     def test_table_memo_digest_pinned(self):
         # every memoized state, in insertion order, with its value, after
-        # det_table(n) for n <= 10 on a fresh engine; recorded when the
-        # engine was first asked for each orbit's first term read backwards
+        # det_table(n) for n <= 10 on a fresh engine; recorded when
+        # det_table first took each orbit's value from det_coeff_er
         digest = hashlib.sha256()
         for n in range(1, 11):
             circ._ENGINES.pop(n, None)
             det_table(n)
             digest.update(repr(list(circ._ENGINES[n].memo.items())).encode())
         assert digest.hexdigest() == (
-            "9edcdfd60d57dab1db8a8a3143b575ec52a3946d440bd500390dd55c601e7307")
+            "6c4f60383daf1e8c34e0cac5ba217ece0e2cfa16e8fc488ebd82a4c20c270bf4")
 
     def test_table_memo_states_pinned(self):
         for n in range(1, 13):
@@ -657,22 +657,15 @@ class TestOrbitRoute:
             det_table(n)
             assert len(queried) == ORBIT_COUNTS[n - 1], n
             if n < 10:
-                # each orbit's first term in lexicographic order, read
-                # backwards
-                assert queried == \
-                    [orbit[0][::-1] for orbit in affine_orbits(n)]
-
-    def test_reversal_sign(self):
-        # b[::-1] is the image of b under x_j -> x_(1-j), u = -1 and c = 1
-        for n in range(1, 10):
-            coeff = dict(zip((ev.b for ev in permanent_terms(n)),
-                             newton_table(n)))
-            for b, value in coeff.items():
-                assert coeff[b[::-1]] == (-1) ** (n - 1) * value, (n, b)
+                # the image _Engine.image picks for each orbit's first term
+                # in lexicographic order, with x_n set to 0
+                eng = circ._engine(n)
+                assert queried == [eng.image(orbit[0])[0][:-1] + (0,)
+                                   for orbit in affine_orbits(n)]
 
     @pytest.mark.parametrize("n", [4, 7, 8])
     def test_wrong_reversal_sign_caught(self, monkeypatch, n):
-        # a wrong sign on the backwards query negates every value it gives
+        # a wrong sign on the engine's query negates every value it gives
         coeff = circ._Engine.coeff
         monkeypatch.setattr(circ._Engine, "coeff",
                             lambda self, b, asked=None: -coeff(self, b, asked))

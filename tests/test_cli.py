@@ -789,6 +789,19 @@ class TestOneLineDisagreement:
         self._one_line(err, "inconsistency: n=4 b=0,2,0,2: the engine "
                             "gives 1/2")
 
+    def test_table_engine_integrality(self, capsys, monkeypatch):
+        # 1 planted as h of the bricks of x_1^2 x_2^2, what the engine is
+        # asked for once the image 2,2,0,0,0,2 of the orbit's first term
+        # drops its x_6: prod(b_i!) = 4 does not divide it, and the line
+        # names that term as the walk met it
+        monkeypatch.setattr(circ, "_ENGINES", {})
+        engine = circ._engine(6)
+        engine.memo[2 * engine.powers[0] + 2 * engine.powers[1]] = 1
+        code, out, err = run(capsys, ["verify", "6"])
+        assert (code, out) == (2, "")
+        self._one_line(err, "inconsistency: n=6 b=0,0,0,2,2,2: the engine "
+                            "gives 1/4")
+
     def test_divisor_sum_integrality(self, capsys, monkeypatch):
         # with every phi taken as 1 the divisor sum of 3 is 11
         monkeypatch.setattr(circ, "euler_phi", lambda m: 1)

@@ -177,6 +177,24 @@ def test_route_disagreement_built_only_by_admit_and_integrality_checks():
     assert built == RAISERS
 
 
+def _is_coeff_call(node):
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "coeff")
+
+
+def test_engine_queried_only_by_det_coeff_er():
+    # every route to the engine takes det_coeff_er's query rule
+    callers, calls = set(), 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(map(_is_coeff_call, ast.walk(tree)))
+        callers |= {(path.name, name) for name, node in _functions(tree)
+                    if any(map(_is_coeff_call, ast.walk(node)))}
+    assert callers == {("circulant.py", "det_coeff_er")}
+    assert calls == 1
+
+
 def _cli_tree():
     return ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
 
