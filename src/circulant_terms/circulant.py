@@ -42,8 +42,9 @@ oracle, and the partition sum by the engine and term by term.
   det_coeff_er_terms sums each w(lambda, mu), the one-row lambda = <q>
   included, over lambda's filling classes from the one class walk of
   the bricks module, the walk the dominance certificate takes; the row
-  recursion behind filling_weight is a second route to each w, and the
-  two meet in its memo.
+  recursion behind filling_weight is a second route to each w.
+  det_coeff_er_terms reads the recursion's memo and never writes it, so
+  each w it meets there is one the recursion computed.
 
 Under the maps x_j -> x_(u*j+c), u a unit mod n, a coefficient changes
 only by the sign (-1)^(c(n-1)) (_shift_negates).  The engine anchors
@@ -418,7 +419,8 @@ def expand_det(n):
     terms combined, zeros dropped.  _leibniz sums the permutations with
     sigma(0) = 0 under a budget of n for every variable, and the column
     shift by c turns each of their terms into one with exponents rotated
-    by c and sign times (-1)^(c(n-1))."""
+    by c and sign times (-1)^(c(n-1)).  The entries come in no
+    particular order."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > ORACLE_MAX_N:
@@ -434,8 +436,7 @@ def expand_det(n):
             shifted = key[n - c:] + key[:n - c]
             raw[shifted] = raw.get(shifted, 0) + sign * coeff
     table = TermTable._trusted(n, {ExponentVector._trusted(n, key): coeff
-                                   for key, coeff in sorted(raw.items())
-                                   if coeff})
+                                   for key, coeff in raw.items() if coeff})
     _EXPAND_CACHE[n] = table
     return table
 
@@ -707,9 +708,9 @@ def det_coeff_er_terms(b):
     omitted.  The values are Fractions; their sum is always an integer.
 
     w(lambda, mu) sums the class weights of lambda from one class walk
-    of mu's bricks at step n, the walk dominance_check takes.  Each w
-    goes into the row recursion's memo under its own key, and admit
-    refuses a w that differs from one already held there."""
+    of mu's bricks at step n, the walk dominance_check takes.  Where the
+    row recursion _w has memoized its own value for lambda and mu, admit
+    refuses a w that differs from it; the memo is only read here."""
     n = b.n
     q = b.q
     if q % n:
@@ -723,7 +724,7 @@ def det_coeff_er_terms(b):
         w = weights.get(lam.parts, 0)
         admit(n, b.b, f"w{lam.parts}", {
             "the class walk": w,
-            "the row recursion": _W_MEMO.setdefault((lam.parts, mu.parts), w)})
+            "the row recursion": _W_MEMO.get((lam.parts, mu.parts), w)})
         if w:
             out[lam] = _er_term(mu, lam, w, n)
     return out
@@ -768,9 +769,9 @@ def det_table(n):
     as a list aligned with permanent_terms(n).
 
     One pass in lexicographic order meets each affine orbit at its first
-    term b, takes b's value from det_coeff_er, and gives each image of b
-    under _affine_images the signed value; an integrality failure in the
-    engine names b.
+    term b, takes b's value from det_coeff_er, and holds the signed
+    value for each image of b under _affine_images until the pass
+    reaches it; an integrality failure in the engine names b.
     The walk must yield p_count(n) terms, by the closed form, and
     SPOT_CHECKS terms drawn with random.Random(n) must equal the literal
     per-partition sum of det_coeff_er_terms; if not, admit raises
@@ -788,40 +789,32 @@ def _det_table(n, terms):
     spots = random.Random(n).sample(range(size), min(SPOT_CHECKS, size))
     picked = dict.fromkeys(spots)
     images = _affine_images(n)
-    values = []     # det_coeff_er of each representative, in order found
-    codes = []      # per term: its representative's index r, or ~r if negated
-    pending = {}    # unreached images of the representatives: term -> code
+    table = []
+    pending = {}    # unreached images of the representatives: term -> value
     for i, b in enumerate(_residue_walk(n, n)):
-        code = pending.pop(b, None)
-        if code is None:
-            code = len(values)
-            values.append(det_coeff_er(ExponentVector._trusted(n, b)))
+        value = pending.pop(b, None)
+        if value is None:
+            value = det_coeff_er(ExponentVector._trusted(n, b))
             for image, negate in images:
-                pending[image(b)] = ~code if negate else code
-        codes.append(code)
+                pending[image(b)] = -value if negate else value
+        table.append(value)
         if terms is not None:
             terms.append(b)
         if i in picked:
             picked[i] = b
-    admit(n, None, "p", {"the formula": size, "the term walk": len(codes)})
-    table = [values[k] if k >= 0 else -values[~k] for k in codes]
+    admit(n, None, "p", {"the formula": size, "the term walk": len(table)})
     for i in spots:
-        b = ExponentVector(n, picked[i])
+        b = ExponentVector._trusted(n, picked[i])
         admit(n, b.b, "coefficient", {
             "the orbit route": table[i],
             "the per-partition sum": sum(det_coeff_er_terms(b).values())})
     return table
 
 
-def d_count(n, method="er"):
-    """The determinant's term count d(n): admissible b with nonzero
-    coefficient.  method "er" counts the nonzero entries of det_table(n);
-    method "oracle" expands the determinant (n <= 12)."""
-    if method == "er":
-        return sum(1 for c in det_table(n) if c)
-    if method == "oracle":
-        return len(expand_det(n))
-    raise ValueError(f"unknown method {method!r}")
+def d_count(n):
+    """The determinant's term count d(n): the nonzero entries of
+    det_table(n).  The oracle's count is len(expand_det(n)) (n <= 12)."""
+    return sum(1 for c in det_table(n) if c)
 
 
 def sign_epsilon(n):

@@ -150,8 +150,8 @@ def cmd_table(args):
     oracle_limit = min(args.max_n, args.oracle_max, ORACLE_MAX_N)
     rows = []
     for n in range(1, args.max_n + 1):
-        d = d_count(n, "er")
-        p = p_count(n, "formula")
+        d = d_count(n)
+        p = p_count(n)
         rows.append({"n": str(n), "d": str(d), "p": str(p),
                      "equal": "true" if d == p else "false"})
         if n <= oracle_limit:

@@ -39,7 +39,7 @@ weight 1 from _lambda_terms.
 from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm, prod
 from operator import lshift, mul
 
 from .exactmath import admit, multinomial, prime_power, valuation
@@ -133,6 +133,7 @@ def contribution_ratio_factors(fc, b, n):
 
         first  = 1/delta! * prod_i C(b_i; alpha_i1..alpha_ik)   (an integer)
         second = n^(k-1) / [(n-1)..(n-k+1) * C(n-k; r_1-1..r_k-1)]
+               = n^(k-1) * prod_j (r_j-1)! / (n-1)!
 
     second carries p-adic valuation >= 1 when n is a power of p, which is
     the whole dominance argument.  Signs are normalized away; only the
@@ -150,11 +151,8 @@ def contribution_ratio_factors(fc, b, n):
         if b.b[i - 1]:
             row_counts = [fc.alpha(i, j) for j in range(k)]
             first *= multinomial(b.b[i - 1], row_counts)
-    falling = 1
-    for t in range(1, k):
-        falling *= n - t
-    second = Fraction(n ** (k - 1),
-                      falling * multinomial(n - k, [r - 1 for r in fc.r]))
+    second = Fraction(n ** (k - 1) * prod(factorial(r - 1) for r in fc.r),
+                      factorial(n - 1))
     return first, second
 
 

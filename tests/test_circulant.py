@@ -29,7 +29,7 @@ from circulant_terms.circulant import (
     permanent_terms,
     sign_epsilon,
 )
-from circulant_terms.bricks import m_to_p_expansion
+from circulant_terms.bricks import filling_weight, m_to_p_expansion
 from circulant_terms.cli import COEFF_MAX_N
 from circulant_terms.partitions import Partition, partitions_of
 
@@ -507,6 +507,25 @@ class TestFillingWeightRoutes:
                 list(expected.items()), ev
         clear_caches()
 
+    def test_class_walk_leaves_the_memo_as_found(self):
+        # det_coeff_er_terms only reads the row recursion's memo: from
+        # cold caches it leaves it empty, and after det_table(8) and the
+        # recursion on every other term it leaves the recursion's entries
+        clear_caches()
+        terms = [ev for n in range(1, 9) for ev in permanent_terms(n)]
+        for ev in terms:
+            det_coeff_er_terms(ev)
+        assert bricks._W_MEMO == {}
+        det_table(8)
+        for ev in terms[::2]:
+            bricks._er_terms(ev.mu(), partitions_of(ev.q, ev.n), ev.n)
+        held = dict(bricks._W_MEMO)
+        assert held
+        for ev in terms:
+            det_coeff_er_terms(ev)
+        assert bricks._W_MEMO == held
+        clear_caches()
+
     def test_planted_weight_raises(self):
         clear_caches()
         ev = ExponentVector(4, (0, 2, 0, 2))
@@ -582,11 +601,7 @@ class TestDCount:
 
     def test_methods_agree(self):
         for n in range(1, 7):
-            assert d_count(n, method="er") == d_count(n, method="oracle")
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            d_count(4, method="guess")
+            assert d_count(n) == len(expand_det(n))
 
 
 class TestDetTable:
@@ -765,7 +780,7 @@ class TestCaches:
                                  "filling_weights": 0}
         ev = ExponentVector(4, (0, 2, 0, 2))
         values = (expand_det(4).coefficient(ev), det_coeff_er(ev),
-                  det_coeff_er_terms(ev))
+                  filling_weight(Partition((4, 4, 4)), ev.mu()))
         sizes = cache_sizes()
         assert sizes["expanded_determinants"] == 1
         assert sizes["engine_states"] > 1
@@ -775,7 +790,7 @@ class TestCaches:
         clear_caches()
         assert set(cache_sizes().values()) == {0}
         assert (expand_det(4).coefficient(ev), det_coeff_er(ev),
-                det_coeff_er_terms(ev)) == values
+                filling_weight(Partition((4, 4, 4)), ev.mu())) == values
 
 
 class TestTermTable:

@@ -50,8 +50,8 @@ def test_every_private_definition_is_referenced():
     assert unused == []
 
 
-def _container_names(tree):
-    # module-level private names bound to a dict, list or set
+def _module_containers(tree):
+    # module-level names bound to a dict, list or set
     containers = (ast.Dict, ast.List, ast.Set,
                   ast.DictComp, ast.ListComp, ast.SetComp)
     names = set()
@@ -66,10 +66,14 @@ def _container_names(tree):
                 isinstance(value, ast.Call)
                 and isinstance(value.func, ast.Name)
                 and value.func.id in ("dict", "list", "set")):
-            names.update(t.id for t in targets if isinstance(t, ast.Name)
-                         and t.id.startswith("_")
-                         and not t.id.startswith("__"))
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
     return names
+
+
+def _container_names(tree):
+    # the private ones among the module-level containers
+    return {name for name in _module_containers(tree)
+            if name.startswith("_") and not name.startswith("__")}
 
 
 def test_every_module_container_is_cleared():
@@ -88,6 +92,73 @@ def test_every_module_container_is_cleared():
                             and node.func.attr == "clear"
                             and isinstance(node.func.value, ast.Name)}
     assert held and sorted(held - cleared) == []
+
+
+# the methods that change a dict, list or set in place
+MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop",
+            "popitem", "remove", "setdefault", "update"}
+
+
+def _foreign_writes(tree, foreign):
+    """(line, name) for each write in tree to a container named in
+    foreign, by subscript assignment or deletion or by a call of one of
+    MUTATORS, reached by its name or as a module's attribute.  A .clear()
+    inside clear_caches is not counted."""
+    emptied = {id(node) for stmt in ast.walk(tree)
+               if isinstance(stmt, ast.FunctionDef)
+               and stmt.name == "clear_caches"
+               for node in ast.walk(stmt)
+               if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "clear"}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            held = node.value
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS and id(node) not in emptied):
+            held = node.func.value
+        else:
+            continue
+        name = (held.id if isinstance(held, ast.Name)
+                else held.attr if isinstance(held, ast.Attribute) else None)
+        if name in foreign:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_no_module_writes_another_modules_container():
+    # a process-wide container is written only by the module that holds
+    # it, so each value in a memo is its own route's; clear_caches() may
+    # empty any of them
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    held = {name: _module_containers(tree) for name, tree in trees.items()}
+    found = [f"{name}:{line}: {what}"
+             for name, tree in sorted(trees.items())
+             for line, what in _foreign_writes(tree, set().union(*(
+                 names for other, names in held.items() if other != name))
+                 - held[name])]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "_M[k] = 1", "_M[k] += 1", "del _M[k]", "_M.setdefault(k, 1)",
+    "_M.update(d)", "_M.pop(k)", "_M.append(1)", "m._M[k] = 1",
+    "m._M.pop(k)", "def f():\n    _M.clear()",
+])
+def test_foreign_write_check_finds_each_form(source):
+    assert len(_foreign_writes(ast.parse(source), {"_M"})) == 1
+
+
+@pytest.mark.parametrize("source", [
+    "x = _M[k]", "x = _M.get(k, 1)", "_N[k] = 1",
+    "def clear_caches():\n    _M.clear()",
+])
+def test_foreign_write_check_passes_reads_and_clear_caches(source):
+    assert _foreign_writes(ast.parse(source), {"_M"}) == []
 
 
 # the math functions that take and return integers only
