@@ -23,13 +23,15 @@ determinant's partition sum and the class contributions share.
 One walk, _sub_rows, lists a brick tuple's sub-multisets of mass a
 multiple of a step; from one such list _class_walk builds every class
 of every lambda whose parts are multiples of the step, the one-row
-class first.  That walk serves the dominance certificate, the literal
-per-partition sum of the determinant (circulant.det_coeff_er_terms,
-which sums each lambda's class weights into w) and
-enumerate_filling_classes, which keeps one lambda's classes.  The
+class first.  That walk serves the dominance certificate,
+enumerate_filling_classes, which keeps one lambda's classes, and
+_er_terms, the one builder of per-lambda terms, which sums each
+lambda's class weights into w: m_to_p_expansion is its n = 1 case and
+the literal per-partition sum of the determinant
+(circulant.det_coeff_er_terms) its case at the matrix size.  The
 memoized row recursion _w, which reads _sub_rows once per row, serves
-filling_weight and m_to_p_expansion, and it is the second route to the
-w the literal sum records in its memo.
+filling_weight alone, the reference for w that the tests hold the
+class walk to.
 """
 
 from bisect import bisect_right
@@ -272,7 +274,11 @@ def _class_walk(bricks, step):
     come in the lexicographic order of their entries' positions, the
     one-row class first; the entry holding every brick left is looked
     up."""
+    if not bricks:
+        return [((), (), 1)]    # the one filling of the empty diagram
     total = sum(bricks)
+    if total % step:
+        return []               # no lambda of parts multiples of step
     # bricks packed as a count per run of equal bricks, one field each
     # under a guard bit: a row fits in what is left when no field's guard
     # clears on subtracting its key
@@ -307,11 +313,9 @@ def enumerate_filling_classes(lam, mu):
     unordered multiset of per-row brick multisets for each row length."""
     if lam.q != mu.q:
         raise ValueError("sizes differ")
-    parts = lam.parts
-    walk = (_class_walk(mu.parts, gcd(*parts)) if parts else
-            [((), (), 1)])
     return [object.__new__(FillingClass)._set(lam, mu, rows)
-            for found, rows, _ in walk if found == parts]
+            for found, rows, _ in _class_walk(mu.parts, gcd(*lam.parts))
+            if found == lam.parts]
 
 
 def class_weight_sum(fc):
@@ -348,20 +352,24 @@ def _er_term(mu, lam, weight, n):
     return Fraction(sign * weight * n ** lam.k, z_of(lam))
 
 
-def _er_terms(mu, lams, n):
-    """{lambda: its term with weight w(lambda, mu)}, zero terms omitted."""
-    out = {}
-    for lam in lams:
-        w = _w(lam.parts, mu.parts)
-        if w:
-            out[lam] = _er_term(mu, lam, w, n)
-    return out
+def _er_terms(mu, n):
+    """{lambda: its term with weight w(lambda, mu)} over the partitions
+    lambda of mu's size whose parts are multiples of n, in partitions_of
+    order, with each p_m evaluated to n; zero terms omitted.  Each w sums
+    lambda's class weights from one class walk of mu's bricks at step n,
+    and a lambda the walk never reaches has w = 0."""
+    weights = {}
+    for parts, _, weight in _class_walk(mu.parts, n):
+        weights[parts] = weights.get(parts, 0) + weight
+    return {lam: _er_term(mu, lam, weights[lam.parts], n)
+            for lam in partitions_of(mu.q, n) if lam.parts in weights}
 
 
 def m_to_p_expansion(mu):
     """Return {lambda: coefficient} for m_mu expanded in power sums,
-    zero coefficients omitted."""
-    return _er_terms(mu, partitions_of(mu.q), 1)
+    zero coefficients omitted: the terms of _er_terms at n = 1, where
+    every p_m is 1."""
+    return _er_terms(mu, 1)
 
 
 class M2PReport:

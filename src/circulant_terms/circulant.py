@@ -39,12 +39,12 @@ oracle, and the partition sum by the engine and term by term.
   arithmetic.  det_coeff_er evaluates the sum in a regrouped form (see
   _Engine), det_coeff_er_terms exposes the literal per-lambda breakdown,
   and the test suite pins the two to each other and to the oracle.
-  det_coeff_er_terms sums each w(lambda, mu), the one-row lambda = <q>
-  included, over lambda's filling classes from the one class walk of
-  the bricks module, the walk the dominance certificate takes; the row
-  recursion behind filling_weight is a second route to each w.
-  det_coeff_er_terms reads the recursion's memo and never writes it, so
-  each w it meets there is one the recursion computed.
+  det_coeff_er_terms takes its terms from bricks._er_terms, the builder
+  of the m-to-p expansion: each w(lambda, mu), the one-row lambda = <q>
+  included, sums lambda's filling classes from the one class walk of the
+  bricks module, the walk the dominance certificate takes.  The row
+  recursion behind filling_weight is the tests' reference for w, and no
+  route here calls it.
 
 Under the maps x_j -> x_(u*j+c), u a unit mod n, a coefficient changes
 only by the sign (-1)^(c(n-1)) (_shift_negates).  The engine anchors
@@ -81,8 +81,8 @@ from math import comb, factorial, gcd
 from operator import add, itemgetter, mul
 
 from .exactmath import RouteDisagreement, admit, euler_phi, divisors
-from .partitions import Partition, partitions_of
-from .bricks import _W_MEMO, _class_walk, _er_term
+from .partitions import Partition
+from .bricks import _W_MEMO, _er_terms
 
 ORACLE_MAX_N = 12
 
@@ -651,10 +651,12 @@ def _engine(n):
 def cache_sizes():
     """Entries held by the process-wide caches, which grow until
     clear_caches() empties them: coefficient-engine states over every n,
-    expanded determinants and brick-filling weights; the dominance
-    certificate keeps nothing between calls.  None has a bound: each
-    grows only with the n it serves, det_table's later orbits reuse the
-    states its earlier ones left, and a run over many n can clear them."""
+    expanded determinants and the filling weights that filling_weight's
+    row recursion memoizes; the class walk behind det_coeff_er_terms and
+    the dominance certificate keeps nothing between calls.  None has a
+    bound: each grows only with the n it serves, det_table's later
+    orbits reuse the states its earlier ones left, and a run over many n
+    can clear them."""
     return {"engine_states": sum(len(e.memo) for e in _ENGINES.values()),
             "expanded_determinants": len(_EXPAND_CACHE),
             "filling_weights": len(_W_MEMO)}
@@ -707,27 +709,11 @@ def det_coeff_er_terms(b):
     over partitions lambda of q with all parts divisible by n, zero terms
     omitted.  The values are Fractions; their sum is always an integer.
 
+    These are bricks._er_terms at n, the m-to-p expansion's own builder:
     w(lambda, mu) sums the class weights of lambda from one class walk
-    of mu's bricks at step n, the walk dominance_check takes.  Where the
-    row recursion _w has memoized its own value for lambda and mu, admit
-    refuses a w that differs from it; the memo is only read here."""
-    n = b.n
-    q = b.q
-    if q % n:
-        return {}
-    mu = b.mu()
-    weights = {}
-    for parts, _, weight in _class_walk(mu.parts, n):
-        weights[parts] = weights.get(parts, 0) + weight
-    out = {}
-    for lam in partitions_of(q, n):
-        w = weights.get(lam.parts, 0)
-        admit(n, b.b, f"w{lam.parts}", {
-            "the class walk": w,
-            "the row recursion": _W_MEMO.get((lam.parts, mu.parts), w)})
-        if w:
-            out[lam] = _er_term(mu, lam, w, n)
-    return out
+    of mu's bricks at step n, the walk dominance_check takes.  A b that
+    is not Hall-admissible has no class at step n and gives {}."""
+    return _er_terms(b.mu(), b.n)
 
 
 # ---------------------------------------------------------------------------

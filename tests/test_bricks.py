@@ -16,6 +16,7 @@ from circulant_terms.bricks import (
     BrickMultiset,
     FillingClass,
     _class_walk,
+    _er_term,
     _row_weight,
     _sub_rows,
     class_weight_sum,
@@ -308,8 +309,19 @@ class TestRowFills:
                     assert _sub_rows(bricks, step, step) == \
                         [fill for fill in fills if fill[0] == step]
 
-    def test_memo_states_of_m2p_8(self):
+    def test_m2p_takes_no_row_recursion_states(self):
+        # m2p builds on the class walk: from cold caches it leaves the row
+        # recursion's memo empty, and its terms, in order, are the ones
+        # filling_weight gives at n = 1
         clear_caches()
         for mu in partitions_of(8):
             m_to_p_expansion(mu)
-        assert len(_W_MEMO) == 617
+        assert _W_MEMO == {}
+        for q in range(9):
+            for mu in partitions_of(q):
+                weights = {lam: filling_weight(lam, mu)
+                           for lam in partitions_of(q)}
+                expected = [(lam, _er_term(mu, lam, w, 1))
+                            for lam, w in weights.items() if w]
+                assert list(m_to_p_expansion(mu).items()) == expected, mu
+        clear_caches()

@@ -161,6 +161,63 @@ def test_foreign_write_check_passes_reads_and_clear_caches(source):
     assert _foreign_writes(ast.parse(source), {"_M"}) == []
 
 
+# the functions that report or empty every process-wide container
+CACHE_KEEPERS = ("cache_sizes", "clear_caches")
+
+
+def _foreign_reads(tree, foreign):
+    """(line, name) for each reference in tree to a container named in
+    foreign, by its name or as a module's attribute, outside the
+    functions of CACHE_KEEPERS; an import is not a reference."""
+    kept = {id(node) for stmt in ast.walk(tree)
+            if isinstance(stmt, ast.FunctionDef)
+            and stmt.name in CACHE_KEEPERS
+            for node in ast.walk(stmt)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        else:
+            continue
+        if name in foreign and id(node) not in kept:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_no_module_reads_another_modules_container():
+    # a route reads only the memos its own module holds, so no value
+    # passes from one route to another through a cache; cache_sizes()
+    # and clear_caches() may reach any of them
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    held = {name: _module_containers(tree) for name, tree in trees.items()}
+    found = [f"{name}:{line}: {what}"
+             for name, tree in sorted(trees.items())
+             for line, what in _foreign_reads(tree, set().union(*(
+                 names for other, names in held.items() if other != name))
+                 - held[name])]
+    assert found == []
+
+
+@pytest.mark.parametrize("source", [
+    "x = _M[k]", "x = _M.get(k, 1)", "x = m._M.get(k)", "f(_M)",
+    "def cache_size():\n    return len(_M)",
+])
+def test_foreign_read_check_finds_each_form(source):
+    assert len(_foreign_reads(ast.parse(source), {"_M"})) == 1
+
+
+@pytest.mark.parametrize("source", [
+    "from m import _M", "x = _N[k]",
+    "def cache_sizes():\n    return len(_M)",
+    "def clear_caches():\n    _M.clear()",
+])
+def test_foreign_read_check_passes_imports_and_cache_keepers(source):
+    assert _foreign_reads(ast.parse(source), {"_M"}) == []
+
+
 # the math functions that take and return integers only
 INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
 
@@ -264,6 +321,25 @@ def test_engine_queried_only_by_det_coeff_er():
                     if any(map(_is_coeff_call, ast.walk(node)))}
     assert callers == {("circulant.py", "det_coeff_er")}
     assert calls == 1
+
+
+def _is_row_recursion_call(node):
+    return isinstance(node, ast.Call) and "_w" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_row_recursion_called_only_by_filling_weight():
+    # every w the package computes comes from the class walk; the row
+    # recursion is filling_weight's own, the reference the tests hold
+    # the class walk to
+    callers, calls = set(), 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(map(_is_row_recursion_call, ast.walk(tree)))
+        callers |= {(path.name, name) for name, node in _functions(tree)
+                    if any(map(_is_row_recursion_call, ast.walk(node)))}
+    assert callers == {("bricks.py", "filling_weight"), ("bricks.py", "_w")}
+    assert calls == 2
 
 
 def _cli_tree():
