@@ -57,16 +57,16 @@ unit.  Bricks of length n cost the engine nothing: [x^b] is (-1)^(b_n)
 times the engine's value at b with b_n set to 0 (proved at
 det_coeff_er), so the query sheds max(b) bricks before any walk.  Each
 unit's layout in _Engine.units is the one statement of the substitution
-(_Engine.image and _affine_images read it).
+(_Engine.image and _position_maps read it).
 
-det_table gives every coefficient of one n at once from one det_coeff_er
-query per orbit: its walk meets each orbit at its lexicographically
-first term, takes that term's value from det_coeff_er and gives each of
-its images under the maps the signed value.  The number of terms the
-walk yields must be p(n) by the closed form, and a seeded sample of
-every table is recomputed by the literal per-partition sum, which
-shares no code with the engine.  It is behind d(n) and the
-`table`/`verify` subcommands.
+affine_orbits streams the orbits of the admissible terms under these
+maps, a representative and its size each, holding no orbit once passed.
+Its orbit count is admitted against Burnside's lemma, its sizes against
+p(n) by the closed form, and seeded representatives against the literal
+per-partition sum, which shares no code with the engine.  d(n), `table`
+and `verify` at composite n read it.  det_table gives every coefficient
+of one n, for `verify` at prime powers: its walk meets each orbit at its
+lexicographically first term and gives each image the signed value.
 
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
@@ -76,6 +76,7 @@ state per row and works for any n; only |coefficients| matter for d(n).
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd
 from operator import add, itemgetter, mul
@@ -180,50 +181,52 @@ def hall_admissible(b):
     return b.q % b.n == 0
 
 
-def _residue_walk(n, total):
-    """Yield every exponent tuple a of length n with sum(a) = total and
+def _residue_walk(n, total, cap=None, length=None):
+    """Yield every exponent tuple a of `length` entries (n by default),
+    each at most cap (no bound by default), with sum(a) = total and
     sum(i*a_i) = 0 (mod n), in lexicographic order.
 
     The last _TAIL exponents are listed once per call, bottom-up:
     tails[(r, res)] holds, in lexicographic order, their tuples that
-    spend degree r and make up residue res.  For n <= _TAIL the tail is
-    x_n alone: a tail of all n exponents would be read at (total, 0)
-    only, yet built for every degree and residue.  The other variables
-    are walked in order x_1, x_2, ... on one explicit stack, pruned by a
-    suffix table of the residues mod n the remaining variables can still
-    reach for each remaining degree, so every prefix reached has a
-    nonempty tail list; each prefix yields itself joined to every tuple
-    of its list."""
+    spend degree r and make up residue res.  For length <= _TAIL the
+    tail is the last variable alone: a tail of every exponent would be
+    read at (total, 0) only, yet built for every degree and residue.
+    The other variables are walked in order x_1, x_2, ... on one
+    explicit stack, pruned by a suffix table of the residues mod n the
+    remaining variables can still reach for each remaining degree; each
+    prefix yields itself joined to every tuple of its list."""
+    length = n if length is None else length
+    cap = total if cap is None else min(cap, total)
     full = (1 << n) - 1
     # reach[i][r]: bitmask of residues sum((j+1)*a_j for j >= i) mod n
-    # over the ways to spend degree r on variables i+1..n (1-based)
-    reach = [[0] * (total + 1) for _ in range(n + 1)]
-    reach[n][0] = 1
-    for i in range(n - 1, -1, -1):
+    # over the ways to spend degree r on variables i+1..length (1-based)
+    reach = [[0] * (total + 1) for _ in range(length + 1)]
+    reach[length][0] = 1
+    for i in range(length - 1, -1, -1):
         w = (i + 1) % n
         row, nxt = reach[i], reach[i + 1]
         for r in range(total + 1):
             mask = 0
-            for a in range(r + 1):
+            for a in range((r if r < cap else cap) + 1):
                 m = nxt[r - a]
                 if m:
                     s = (w * a) % n
                     mask |= ((m << s) | (m >> (n - s))) & full
             row[r] = mask
-    k = n - _TAIL if n > _TAIL else n - 1
-    # x_n has weight 0 mod n; each earlier tail variable goes in front,
-    # by increasing exponent, so every list stays lexicographic
-    tails = {(r, 0): [(r,)] for r in range(total + 1)}
-    for i in range(n - 2, k - 1, -1):
+    k = length - _TAIL if length > _TAIL else max(length - 1, 0)
+    # each tail variable goes in front, from the last, by increasing
+    # exponent, so every list stays lexicographic
+    tails = {(0, 0): [()]}
+    for i in range(length - 1, k - 1, -1):
         grown = {}
-        for a in range(total + 1):
+        for a in range(cap + 1):
             for (r, res), ts in tails.items():
                 if r + a <= total:
                     grown.setdefault((r + a, (res + (i + 1) * a) % n),
                                      []).extend([(a,) + t for t in ts])
         tails = grown
     # the stack: b[i] is the exponent tried at x_(i+1), and rem[i] and
-    # need[i] the degree and residue left to x_(i+1)..x_n
+    # need[i] the degree and residue left to x_(i+1)..x_length
     b = [0] * k
     rem = [total] + [0] * k
     need = [0] * (k + 1)
@@ -231,9 +234,10 @@ def _residue_walk(n, total):
     while i >= 0:
         if i < k:
             r, w, nxt = rem[i], i + 1, reach[i + 1]
-            while a <= r and not nxt[r - a] >> (need[i] - w * a) % n & 1:
+            top = r if r < cap else cap
+            while a <= top and not nxt[r - a] >> (need[i] - w * a) % n & 1:
                 a += 1
-            if a <= r:
+            if a <= top:
                 b[i] = a
                 rem[i + 1] = r - a
                 need[i + 1] = (need[i] - w * a) % n
@@ -241,7 +245,7 @@ def _residue_walk(n, total):
                 continue
         else:
             prefix = tuple(b)
-            for t in tails[rem[k], need[k]]:
+            for t in tails.get((rem[k], need[k]), ()):
                 yield prefix + t
         # back up one variable and try its next exponent
         i -= 1
@@ -653,10 +657,10 @@ def cache_sizes():
     clear_caches() empties them: coefficient-engine states over every n,
     expanded determinants and the filling weights that filling_weight's
     row recursion memoizes; the class walk behind det_coeff_er_terms and
-    the dominance certificate keeps nothing between calls.  None has a
-    bound: each grows only with the n it serves, det_table's later
-    orbits reuse the states its earlier ones left, and a run over many n
-    can clear them."""
+    the dominance certificate and affine_orbits keep nothing between
+    calls.  None has a bound: each grows only with the n it serves, the
+    later orbits of d_count or det_table reuse the states the earlier
+    ones left, and a run over many n can clear them."""
     return {"engine_states": sum(len(e.memo) for e in _ENGINES.values()),
             "expanded_determinants": len(_EXPAND_CACHE),
             "filling_weights": len(_W_MEMO)}
@@ -719,7 +723,8 @@ def det_coeff_er_terms(b):
 # ---------------------------------------------------------------------------
 # orbit route: every coefficient of one n from one engine query per orbit
 
-# terms of each det_table checked against the literal per-partition sum
+# terms of each det_table and affine_orbits checked against the literal
+# per-partition sum
 SPOT_CHECKS = 8
 
 
@@ -731,28 +736,30 @@ def _shift_negates(n, c):
     return c * (n - 1) % 2 == 1
 
 
+def _position_maps(n):
+    """For each 0-based position p, (image, negate) for each map
+    x_j -> x_(u*j+c), u a unit mod n, that sends x_(p+1) to x_n: image(b)
+    is the exponent tuple of x^b after it, and negate, from
+    _shift_negates, whether it negates the coefficient.  For u it takes
+    c = -u(p+1) mod n and reads b at (p + j) mod n for each j of the
+    engine's layout for u."""
+    return [[(itemgetter(*[(p + j) % n for j in layout]) if n > 1
+              else tuple,     # itemgetter of one index gives no tuple
+              _shift_negates(n, -u * (p + 1) % n))
+             for u, _, layout in _engine(n).units] for p in range(n)]
+
+
 def _affine_images(n):
-    """(image, negate) for each map x_j -> x_(u*j+c), u a unit mod n,
-    other than the identity: image(b) is the exponent tuple of x^b after
-    the substitution, and negate, from _shift_negates, tells whether its
-    coefficient is minus that of x^b.  The maps are read from the
-    engine's per-unit layouts: the one sending x_(p+1) to x_n takes
-    c = -u(p+1) mod n, and its image reads b at (p + j) mod n for each j
-    of the layout."""
-    identity = list(range(n))
-    images = []
-    for u, _, layout in _engine(n).units:
-        for p in range(n):
-            source = [(p + j) % n for j in layout]
-            if source != identity:
-                images.append((itemgetter(*source),
-                               _shift_negates(n, -u * (p + 1) % n)))
+    """_position_maps but the identity, x_n to x_n with u = 1, as one list."""
+    images = [pair for maps in _position_maps(n) for pair in maps]
+    del images[(n - 1) * len(images) // n]
     return images
 
 
 def det_table(n):
     """det_coeff_er(b) for every admissible b of size n, zeros included,
-    as a list aligned with permanent_terms(n).
+    as a list aligned with permanent_terms(n), for `verify` at prime
+    powers and the tests; d(n) takes the cheaper affine_orbits.
 
     One pass in lexicographic order meets each affine orbit at its first
     term b, takes b's value from det_coeff_er, and holds the signed
@@ -797,10 +804,106 @@ def _det_table(n, terms):
     return table
 
 
+def _fixed_terms(n, u, c):
+    """The admissible b that x_j -> x_(u*j+c) fixes, those constant on
+    each cycle of j -> u*j + c mod n (j = 0 for x_n).  ways[s][r] counts
+    the fillings of the cycles so far of degree s and residue r: a cycle
+    of L positions whose subscripts sum to W adds a*L and a*W holding a."""
+    ways = [[1] + [0] * (n - 1)] + [[0] * n for _ in range(n)]
+    seen = [False] * n
+    for j in range(n):
+        if seen[j]:
+            continue
+        size = weight = 0
+        while not seen[j]:
+            seen[j] = True
+            size, weight, j = size + 1, weight + j, (u * j + c) % n
+        w = weight % n
+        # ways[s - size] is read after its own update: a takes any value
+        for s in range(size, n + 1):
+            prev = ways[s - size]
+            ways[s] = list(map(add, ways[s], prev[n - w:] + prev[:n - w]))
+    return ways[n][0]
+
+
+def _burnside_count(n):
+    """The number of affine orbits, by Burnside's lemma: the mean of
+    _fixed_terms over the n*phi(n) maps, a Fraction.  Conjugating by a
+    rotation j -> j + t, which keeps admissibility, turns c into
+    c + t(1-u), so only c mod gcd(u-1, n) matters."""
+    units = [u for u, _, _ in _engine(n).units]
+    total = sum(n // gcd(u - 1, n) * _fixed_terms(n, u, c)
+                for u in units for c in range(gcd(u - 1, n)))
+    return Fraction(total, n * len(units))
+
+
+def _stabilizer(b, top, maps):
+    """The number of maps that fix b, or 0 if one sends b to a smaller
+    term holding top = max(b) at x_n.  Those maps send a position
+    holding top to x_n, and so do the maps that fix b."""
+    fixed = 0
+    for p, x in enumerate(b):
+        if x == top:
+            for image, _ in maps[p]:
+                a = image(b)
+                if a < b:
+                    return 0
+                fixed += a == b
+    return fixed
+
+
+def _spot_check(n, b, maps):
+    # det_coeff_er(b) against the literal per-partition sum at b's image
+    # of least q, where that sum is cheapest, signed by _shift_negates
+    weights = range(1, n + 1)
+    _, image, negate = min((sum(map(mul, get(b), weights)), get(b), negate)
+                           for row in maps for get, negate in row)
+    literal = sum(det_coeff_er_terms(
+        ExponentVector._trusted(n, image)).values())
+    admit(n, b, "coefficient", {
+        "the engine": det_coeff_er(ExponentVector._trusted(n, b)),
+        "the per-partition sum": -literal if negate else literal})
+
+
+def affine_orbits(n):
+    """Yield (b, size) for each affine orbit of the admissible terms of
+    size n, holding nothing of an orbit once yielded: b is the least of
+    its terms that hold a largest exponent at x_n, and size n*phi(n)
+    over the number of maps that fix b.  For top = 1..n the walk takes
+    x_1..x_(n-1) at most top, of degree n - top and residue 0, and
+    x_n = top; _stabilizer keeps the least.  SPOT_CHECKS orbits, drawn
+    by rank with random.Random(n), go through _spot_check.  The count
+    must equal _burnside_count(n) and the sizes sum to p_count(n), or
+    admit raises RouteDisagreement naming n (and b for a spot check)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    orbits = _burnside_count(n)
+    ranks = range(int(orbits))
+    spots = set(random.Random(n).sample(ranks, min(SPOT_CHECKS, len(ranks))))
+    maps = _position_maps(n)
+    group = n * len(maps[0])
+    count = total = 0
+    for top in range(1, n + 1):
+        for a in _residue_walk(n, n - top, top, n - 1):
+            b = a + (top,)
+            fixed = _stabilizer(b, top, maps)
+            if fixed:
+                if count in spots:
+                    _spot_check(n, b, maps)
+                count += 1
+                total += group // fixed
+                yield b, group // fixed
+    admit(n, None, "orbits", {"Burnside's lemma": orbits,
+                              "the orbit walk": count})
+    admit(n, None, "p", {"the formula": p_count(n), "the orbit sizes": total})
+
+
 def d_count(n):
-    """The determinant's term count d(n): the nonzero entries of
-    det_table(n).  The oracle's count is len(expand_det(n)) (n <= 12)."""
-    return sum(1 for c in det_table(n) if c)
+    """The determinant's term count d(n): the sizes of the affine orbits
+    whose representative's coefficient is nonzero.  The oracle's count
+    is len(expand_det(n)) (n <= 12)."""
+    return sum(size for b, size in affine_orbits(n)
+               if det_coeff_er(ExponentVector._trusted(n, b)))
 
 
 def sign_epsilon(n):

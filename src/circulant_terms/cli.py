@@ -24,9 +24,10 @@ from .exactmath import (RouteDisagreement, admit, multinomial,
                         prime_power, valuation)
 from .partitions import partitions_of
 from .bricks import m_to_p_expansion
-from .circulant import (ExponentVector, ORACLE_MAX_N, _det_table, d_count,
-                        det_coeff_er, det_coeff_oracle, expand_det,
-                        hall_admissible, p_count, sign_epsilon)
+from .circulant import (ExponentVector, ORACLE_MAX_N, _affine_images,
+                        _det_table, affine_orbits, d_count, det_coeff_er,
+                        det_coeff_oracle, expand_det, hall_admissible,
+                        p_count, sign_epsilon)
 from .theorem import dominance_table
 
 # Reference term counts for n = 1..12 as (d, p); every entry is
@@ -139,8 +140,9 @@ def _write_atomically(path, text):
 def cmd_table(args):
     """Rows (n, d(n), p(n), equal) for n = 1..max_n, with the d column
     cross-checked against the expansion oracle for n <= --oracle-max.
-    The p column's closed form is checked against the number of terms
-    the d column's walk yields, for every n, inside det_table."""
+    The p column's closed form is checked against the orbit sizes the d
+    column sums, and the orbit count against Burnside's lemma, for every
+    n, inside affine_orbits."""
     if not 1 <= args.max_n <= VERIFY_MAX_N:
         raise _UsageError(f"--max-n must be between 1 and {VERIFY_MAX_N}")
     if args.jobs < 1:
@@ -215,9 +217,10 @@ def cmd_coeff(args):
 def cmd_verify(args):
     """For prime-power n: certify every admissible b by dominance_table,
     dominance_check's verdicts from one walk, and report the valuation
-    spectra.  Otherwise: list the admissible b whose
-    coefficient vanishes.  d and p are admitted against the reference
-    counts, and the passes against p, before any row is written."""
+    spectra.  Otherwise: list the admissible b whose coefficient
+    vanishes, from the affine orbits.  d and p are admitted against the
+    reference counts, and the passes against p, before any row is
+    written."""
     n = args.n
     if n < 2:
         raise _UsageError("n must be at least 2")
@@ -229,38 +232,56 @@ def cmd_verify(args):
         print(f"skipped: n={n} exceeds the supported bound "
               f"(n <= {VERIFY_MAX_N})", file=sys.stderr)
         return 1
+    if prime_power(n) is None:
+        return _list_vanishing(n, fieldnames, args)
     terms = []
     coeffs = _det_table(n, terms)
     nonzero = sum(1 for c in coeffs if c)
     admit(n, None, "(d, p)", {"the coefficient table": (nonzero, len(terms)),
                               "REFERENCE_COUNTS": REFERENCE_COUNTS[n]})
-    if prime_power(n) is not None:
-        passes = 0
+    passes = 0
 
-        def certified():
-            # each row is made as its term's verdict comes, so _emit
-            # never holds every row at once; the passes are admitted
-            # after the last, before _emit writes any of its text
-            nonlocal passes
-            for b, (passed, v_base, others) in zip(
-                    terms, dominance_table(n, terms, coeffs)):
-                passes += passed
-                yield {"n": str(n), "b": ",".join(map(str, b)),
-                       "pass": "true" if passed else "false",
-                       "valuations": f"{v_base}|{','.join(map(str, others))}"}
-            admit(n, None, "the terms that pass", {"dominance_table": passes,
-                                                   "p": len(terms)})
+    def certified():
+        # each row is made as its term's verdict comes, so _emit never
+        # holds every row at once; the passes are admitted after the
+        # last, before _emit writes any of its text
+        nonlocal passes
+        for b, (passed, v_base, others) in zip(
+                terms, dominance_table(n, terms, coeffs)):
+            passes += passed
+            yield {"n": str(n), "b": ",".join(map(str, b)),
+                   "pass": "true" if passed else "false",
+                   "valuations": f"{v_base}|{','.join(map(str, others))}"}
+        admit(n, None, "the terms that pass", {"dominance_table": passes,
+                                               "p": len(terms)})
 
-        _emit(fieldnames, certified(), args.format, args.out)
-        print(f"{passes}/{len(terms)} dominance passes, d={nonzero}, "
-              f"p={len(terms)}", file=sys.stderr)
-    else:
-        rows = [{"n": str(n), "b": ",".join(map(str, b)),
-                 "pass": "false", "valuations": ""}
-                for b, c in zip(terms, coeffs) if not c]
-        _emit(fieldnames, rows, args.format, args.out)
-        print(f"{len(rows)} vanishing coefficients, d={nonzero}, "
-              f"p={len(terms)}", file=sys.stderr)
+    _emit(fieldnames, certified(), args.format, args.out)
+    print(f"{passes}/{len(terms)} dominance passes, d={nonzero}, "
+          f"p={len(terms)}", file=sys.stderr)
+    return 0
+
+
+def _list_vanishing(n, fieldnames, args):
+    # composite n: d and p sum the orbit sizes, and each orbit whose
+    # coefficient vanishes is expanded by its images
+    d = p = 0
+    vanishing = set()
+    maps = _affine_images(n)
+    for b, size in affine_orbits(n):
+        p += size
+        if det_coeff_er(ExponentVector(n, b)):
+            d += size
+        else:
+            vanishing.update([b] + [image(b) for image, _ in maps])
+    admit(n, None, "(d, p)", {"the coefficient table": (d, p),
+                              "REFERENCE_COUNTS": REFERENCE_COUNTS[n]})
+    admit(n, None, "the vanishing terms", {"the orbit sizes": p - d,
+                                           "their images": len(vanishing)})
+    _emit(fieldnames, ({"n": str(n), "b": ",".join(map(str, b)),
+                        "pass": "false", "valuations": ""}
+                       for b in sorted(vanishing)), args.format, args.out)
+    print(f"{len(vanishing)} vanishing coefficients, d={d}, p={p}",
+          file=sys.stderr)
     return 0
 
 

@@ -2,7 +2,7 @@ import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -730,6 +730,64 @@ class TestOrbitRoute:
             (image, not negate) for image, negate in images(n)])
         with pytest.raises(RouteDisagreement, match=rf"n={n} b=\d"):
             det_table(n)
+
+
+class TestAffineOrbits:
+    def test_matches_oracle_orbits(self):
+        # each representative is the least member holding max(b) at x_n
+        # of exactly one orbit, and its size is that orbit's length
+        for n in range(1, 11):
+            orbits = {}
+            for orbit in affine_orbits(n):
+                top = max(orbit[0])
+                rep = min(b for b in orbit if b[-1] == top)
+                orbits[rep] = len(orbit)
+            stream = list(circ.affine_orbits(n))
+            assert dict(stream) == orbits, n
+            assert len(stream) == len(orbits), n
+
+    def test_burnside_count(self):
+        for n in range(1, 13):
+            assert circ._burnside_count(n) == ORBIT_COUNTS[n - 1], n
+        assert [circ._burnside_count(n) for n in (13, 14, 15)] == \
+            [2658, 17380, 44412]
+
+    def test_fixed_terms(self):
+        # the identity fixes every term, and a map's count depends on c
+        # only mod gcd(u-1, n)
+        for n in range(1, 10):
+            assert circ._fixed_terms(n, 1, 0) == p_count(n)
+            for u, c in affine_maps(n):
+                g = gcd(u - 1, n)
+                assert circ._fixed_terms(n, u, c) == \
+                    circ._fixed_terms(n, u, c % g), (n, u, c)
+                assert circ._fixed_terms(n, u, c) == sum(
+                    affine_image(ev.b, u, c) == ev.b
+                    for ev in permanent_terms(n)), (n, u, c)
+
+    def test_d_count_is_det_tables_nonzero_count(self):
+        for n in range(1, 14):
+            assert d_count(n) == sum(1 for c in det_table(n) if c), n
+        assert d_count(13) == 400024
+
+    def test_d_count_holds_no_table(self):
+        # the stream holds O(orbits); det_table(12) peaks near 20 MB
+        circ._ENGINES.pop(12, None)
+        tracemalloc.start()
+        try:
+            assert d_count(12) == 86500
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10 ** 6
+
+    def test_stream_adds_no_cache(self):
+        clear_caches()
+        d_count(8)
+        assert set(cache_sizes()) == {"engine_states",
+                                      "expanded_determinants",
+                                      "filling_weights"}
+        assert cache_sizes()["engine_states"] == len(circ._ENGINES[8].memo)
 
 
 class TestSignEpsilon:

@@ -115,20 +115,28 @@ class TestSpotCheck:
 
 
 class TestTermCount:
-    """det_table checks the number of terms its walk yields against
-    p_count(n), and `table` walks the terms of each n once."""
+    """affine_orbits admits its orbit count against Burnside's lemma and
+    its orbit sizes against p_count(n), det_table the number of terms
+    its walk yields, and `table` makes one capped walk per n and top."""
 
     @pytest.mark.parametrize("argv", [["table", "--max-n", "4"],
                                       ["verify", "4"]])
     def test_short_walk_exits_2(self, capsys, monkeypatch, argv):
+        # the last term of the first nonempty walk at n = 4 goes missing:
+        # x_1^4 from det_table's one walk, x_1*x_3*x_4^2 from the walks
+        # of the orbit stream
         walk = circ._residue_walk
+        dropped = []
 
-        def short(n, total):
-            terms = list(walk(n, total))
-            return terms[:-1] if n == 4 else terms
+        def short(n, total, *capped):
+            terms = list(walk(n, total, *capped))
+            if n == 4 and terms and not dropped:
+                dropped.append(terms.pop())
+            return terms
 
         monkeypatch.setattr(circ, "_residue_walk", short)
         code, out, err = run(capsys, argv)
+        assert len(dropped) == 1
         assert code == 2
         assert out == ""
         assert err.startswith("inconsistency: n=4")
@@ -138,15 +146,61 @@ class TestTermCount:
         walk = circ._residue_walk
         calls = []
 
-        def spy(n, total):
-            calls.append((n, total))
-            return walk(n, total)
+        def spy(n, total, *capped):
+            calls.append((n, total, *capped))
+            return walk(n, total, *capped)
 
         monkeypatch.setattr(circ, "_residue_walk", spy)
         code, _, _ = run(capsys, ["table", "--max-n", "6",
                                   "--oracle-max", "6"])
         assert code == 0
-        assert calls == [(n, n) for n in range(1, 7)]
+        assert calls == [(n, n - top, top, n - 1)
+                         for n in range(1, 7) for top in range(1, n + 1)]
+
+
+class TestOrbitAdmissions:
+    """A fault planted in affine_orbits' canonical test exits 2 on the
+    admission that catches it, before any row is written."""
+
+    def test_extra_representative_exits_2_on_burnside(self, capsys,
+                                                      monkeypatch):
+        stabilizer = circ._stabilizer
+        kept = []
+
+        def planted(b, top, maps):
+            # keeps the first term of n = 6 the canonical test rejects
+            fixed = stabilizer(b, top, maps)
+            if not fixed and len(b) == 6 and not kept:
+                kept.append(b)
+                return 1
+            return fixed
+
+        monkeypatch.setattr(circ, "_stabilizer", planted)
+        code, out, err = run(capsys, ["table", "--max-n", "6"])
+        assert len(kept) == 1
+        assert (code, out) == (2, "")
+        assert err == ("inconsistency: n=6: orbits disagrees: 12 by "
+                       "Burnside's lemma, 13 by the orbit walk\n")
+
+    def test_stabilizer_off_by_one_exits_2_on_p(self, capsys, monkeypatch):
+        stabilizer = circ._stabilizer
+        bumped = []
+
+        def planted(b, top, maps):
+            # one more map fixing the first representative of n = 4,
+            # (0,2,0,2), than the four that do: its orbit of 2 reads 1
+            fixed = stabilizer(b, top, maps)
+            if fixed and len(b) == 4 and not bumped:
+                bumped.append(b)
+                return fixed + 1
+            return fixed
+
+        monkeypatch.setattr(circ, "_stabilizer", planted)
+        code, out, err = run(capsys, ["table", "--max-n", "4"])
+        assert bumped == [(0, 2, 0, 2)]
+        assert (code, out) == (2, "")
+        assert err == ("inconsistency: n=4: p disagrees: 10 by the formula, "
+                       "9 by the orbit sizes\n")
 
 
 class TestOut:
