@@ -64,9 +64,8 @@ maps, a representative and its size each, holding no orbit once passed.
 Its orbit count is admitted against Burnside's lemma, its sizes against
 p(n) by the closed form, and seeded representatives against the literal
 per-partition sum, which shares no code with the engine.  d(n), `table`
-and `verify` at composite n read it.  det_table gives every coefficient
-of one n, for `verify` at prime powers: its walk meets each orbit at its
-lexicographically first term and gives each image the signed value.
+and `verify` read it: _orbit_values, behind det_table and `verify` at
+prime powers, gives each image of a representative its signed value.
 
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
@@ -659,7 +658,7 @@ def cache_sizes():
     row recursion memoizes; the class walk behind det_coeff_er_terms and
     the dominance certificate and affine_orbits keep nothing between
     calls.  None has a bound: each grows only with the n it serves, the
-    later orbits of d_count or det_table reuse the states the earlier
+    later orbits of affine_orbits' readers reuse the states the earlier
     ones left, and a run over many n can clear them."""
     return {"engine_states": sum(len(e.memo) for e in _ENGINES.values()),
             "expanded_determinants": len(_EXPAND_CACHE),
@@ -723,7 +722,7 @@ def det_coeff_er_terms(b):
 # ---------------------------------------------------------------------------
 # orbit route: every coefficient of one n from one engine query per orbit
 
-# terms of each det_table and affine_orbits checked against the literal
+# representatives of each affine_orbits(n) checked against the literal
 # per-partition sum
 SPOT_CHECKS = 8
 
@@ -750,58 +749,8 @@ def _position_maps(n):
 
 
 def _affine_images(n):
-    """_position_maps but the identity, x_n to x_n with u = 1, as one list."""
-    images = [pair for maps in _position_maps(n) for pair in maps]
-    del images[(n - 1) * len(images) // n]
-    return images
-
-
-def det_table(n):
-    """det_coeff_er(b) for every admissible b of size n, zeros included,
-    as a list aligned with permanent_terms(n), for `verify` at prime
-    powers and the tests; d(n) takes the cheaper affine_orbits.
-
-    One pass in lexicographic order meets each affine orbit at its first
-    term b, takes b's value from det_coeff_er, and holds the signed
-    value for each image of b under _affine_images until the pass
-    reaches it; an integrality failure in the engine names b.
-    The walk must yield p_count(n) terms, by the closed form, and
-    SPOT_CHECKS terms drawn with random.Random(n) must equal the literal
-    per-partition sum of det_coeff_er_terms; if not, admit raises
-    RouteDisagreement naming n, and b for a spot check."""
-    return _det_table(n, None)
-
-
-def _det_table(n, terms):
-    # det_table(n); when terms is a list, the walk also appends to it each
-    # term's exponent tuple, in table order, so a caller that needs both
-    # walks the terms once
-    if n < 1:
-        raise ValueError("n must be positive")
-    size = p_count(n)
-    spots = random.Random(n).sample(range(size), min(SPOT_CHECKS, size))
-    picked = dict.fromkeys(spots)
-    images = _affine_images(n)
-    table = []
-    pending = {}    # unreached images of the representatives: term -> value
-    for i, b in enumerate(_residue_walk(n, n)):
-        value = pending.pop(b, None)
-        if value is None:
-            value = det_coeff_er(ExponentVector._trusted(n, b))
-            for image, negate in images:
-                pending[image(b)] = -value if negate else value
-        table.append(value)
-        if terms is not None:
-            terms.append(b)
-        if i in picked:
-            picked[i] = b
-    admit(n, None, "p", {"the formula": size, "the term walk": len(table)})
-    for i in spots:
-        b = ExponentVector._trusted(n, picked[i])
-        admit(n, b.b, "coefficient", {
-            "the orbit route": table[i],
-            "the per-partition sum": sum(det_coeff_er_terms(b).values())})
-    return table
+    """_position_maps as one list, n*phi(n) maps, the identity included."""
+    return [pair for maps in _position_maps(n) for pair in maps]
 
 
 def _fixed_terms(n, u, c):
@@ -904,6 +853,33 @@ def d_count(n):
     is len(expand_det(n)) (n <= 12)."""
     return sum(size for b, size in affine_orbits(n)
                if det_coeff_er(ExponentVector._trusted(n, b)))
+
+
+def _orbit_values(n):
+    """{b: det_coeff_er(b)} for every admissible exponent tuple b of size
+    n, from one engine query per orbit of affine_orbits: each image of
+    the representative under _affine_images takes its signed value.  The
+    entries must number p_count(n), by the closed form, or admit raises
+    RouteDisagreement naming n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    images = _affine_images(n)
+    values = {}
+    for b, _ in affine_orbits(n):
+        value = det_coeff_er(ExponentVector._trusted(n, b))
+        for image, negate in images:
+            values[image(b)] = -value if negate else value
+    admit(n, None, "p", {"the formula": p_count(n),
+                         "the orbit images": len(values)})
+    return values
+
+
+def det_table(n):
+    """det_coeff_er(b) for every admissible b of size n, zeros included,
+    as a list aligned with permanent_terms(n): the values of
+    _orbit_values(n), in the order of their sorted terms."""
+    values = _orbit_values(n)
+    return [values[b] for b in sorted(values)]
 
 
 def sign_epsilon(n):

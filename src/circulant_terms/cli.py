@@ -25,7 +25,7 @@ from .exactmath import (RouteDisagreement, admit, multinomial,
 from .partitions import partitions_of
 from .bricks import m_to_p_expansion
 from .circulant import (ExponentVector, ORACLE_MAX_N, _affine_images,
-                        _det_table, affine_orbits, d_count, det_coeff_er,
+                        _orbit_values, affine_orbits, d_count, det_coeff_er,
                         det_coeff_oracle, expand_det, hall_admissible,
                         p_count, sign_epsilon)
 from .theorem import dominance_table
@@ -215,10 +215,11 @@ def cmd_coeff(args):
 
 
 def cmd_verify(args):
-    """For prime-power n: certify every admissible b by dominance_table,
+    """Both read the affine orbits.  For prime-power n: certify every
+    admissible b, its coefficient from its orbit's, by dominance_table,
     dominance_check's verdicts from one walk, and report the valuation
     spectra.  Otherwise: list the admissible b whose coefficient
-    vanishes, from the affine orbits.  d and p are admitted against the
+    vanishes, its orbit's images.  d and p are admitted against the
     reference counts, and the passes against p, before any row is
     written."""
     n = args.n
@@ -234,8 +235,9 @@ def cmd_verify(args):
         return 1
     if prime_power(n) is None:
         return _list_vanishing(n, fieldnames, args)
-    terms = []
-    coeffs = _det_table(n, terms)
+    values = _orbit_values(n)
+    terms = sorted(values)
+    coeffs = [values[b] for b in terms]
     nonzero = sum(1 for c in coeffs if c)
     admit(n, None, "(d, p)", {"the coefficient table": (nonzero, len(terms)),
                               "REFERENCE_COUNTS": REFERENCE_COUNTS[n]})
@@ -269,10 +271,10 @@ def _list_vanishing(n, fieldnames, args):
     maps = _affine_images(n)
     for b, size in affine_orbits(n):
         p += size
-        if det_coeff_er(ExponentVector(n, b)):
+        if det_coeff_er(ExponentVector._trusted(n, b)):
             d += size
         else:
-            vanishing.update([b] + [image(b) for image, _ in maps])
+            vanishing.update(image(b) for image, _ in maps)
     admit(n, None, "(d, p)", {"the coefficient table": (d, p),
                               "REFERENCE_COUNTS": REFERENCE_COUNTS[n]})
     admit(n, None, "the vanishing terms", {"the orbit sizes": p - d,

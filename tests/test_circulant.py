@@ -552,8 +552,9 @@ class TestFillingWeightRoutes:
         clear_caches()
 
 
-# det_table(n)'s engine states on a fresh engine, n = 1..12
-TABLE_STATES = [1, 1, 2, 3, 5, 12, 17, 52, 89, 310, 453, 3115]
+# det_table(n)'s engine states on a fresh engine, n = 1..12: one query
+# per representative of affine_orbits, as d_count(n) makes
+TABLE_STATES = [1, 1, 2, 3, 4, 12, 13, 51, 85, 310, 435, 3130]
 
 
 class TestEngineMemo:
@@ -575,20 +576,22 @@ class TestEngineMemo:
     def test_table_memo_digest_pinned(self):
         # every memoized state, in insertion order, with its value, after
         # det_table(n) for n <= 10 on a fresh engine; recorded when
-        # det_table first took each orbit's value from det_coeff_er
+        # det_table first took its orbits from affine_orbits
         digest = hashlib.sha256()
         for n in range(1, 11):
             circ._ENGINES.pop(n, None)
             det_table(n)
             digest.update(repr(list(circ._ENGINES[n].memo.items())).encode())
         assert digest.hexdigest() == (
-            "6c4f60383daf1e8c34e0cac5ba217ece0e2cfa16e8fc488ebd82a4c20c270bf4")
+            "55310049e6acec3fc271e21c23514bc0be0f2dadb56475887e8509ff43da598a")
 
     def test_table_memo_states_pinned(self):
         for n in range(1, 13):
-            circ._ENGINES.pop(n, None)
-            det_table(n)
-            assert len(circ._ENGINES[n].memo) == TABLE_STATES[n - 1], n
+            for count in (det_table, d_count):
+                circ._ENGINES.pop(n, None)
+                count(n)
+                assert len(circ._ENGINES[n].memo) == TABLE_STATES[n - 1], \
+                    (n, count)
 
     def test_binomial_rows(self):
         for n in range(1, COEFF_MAX_N + 1):
@@ -643,6 +646,15 @@ class TestDetTable:
         with pytest.raises(RouteDisagreement, match=r"n=5 b=\d"):
             det_table(5)
 
+    def test_missing_images_caught(self, monkeypatch):
+        # the representatives alone: their values cover 3 of the 10 terms
+        monkeypatch.setattr(circ, "_affine_images",
+                            lambda n: [(tuple, False)])
+        with pytest.raises(RouteDisagreement, match=(
+                r"^n=4: p disagrees: 10 by the formula, 3 by the orbit "
+                r"images$")):
+            det_table(4)
+
 
 # affine orbits of the admissible terms of n = 1..12
 ORBIT_COUNTS = [1, 1, 2, 3, 4, 12, 12, 49, 70, 268, 320, 2806]
@@ -661,12 +673,12 @@ class TestOrbitRoute:
     def test_maps_are_every_affine_substitution(self):
         for n in range(1, 10):
             images = circ._affine_images(n)
-            assert len(images) == len(affine_maps(n)) - 1
+            assert len(images) == len(affine_maps(n))
             for ev in permanent_terms(n):
                 found = {(image(ev.b), negate) for image, negate in images}
                 expected = {(affine_image(ev.b, u, c), c * (n - 1) % 2 == 1)
                             for u, c in affine_maps(n)}
-                assert found | {(ev.b, False)} == expected, (n, ev.b)
+                assert found == expected, (n, ev.b)
 
     def test_orbit_sizes_sum_to_p(self):
         for n in range(1, 10):
@@ -686,13 +698,20 @@ class TestOrbitRoute:
         for n in range(1, 13):
             queried.clear()
             det_table(n)
-            assert len(queried) == ORBIT_COUNTS[n - 1], n
+            asked = list(queried)
+            spots = min(circ.SPOT_CHECKS, ORBIT_COUNTS[n - 1])
+            assert len(asked) == ORBIT_COUNTS[n - 1] + spots, n
             if n < 10:
-                # the image _Engine.image picks for each orbit's first term
-                # in lexicographic order, with x_n set to 0
+                # the image _Engine.image picks for each representative of
+                # affine_orbits, with x_n set to 0; a spot-checked one is
+                # asked once more, by _spot_check
+                orbits = list(circ.affine_orbits(n))
+                ranks = random.Random(n).sample(range(len(orbits)), spots)
                 eng = circ._engine(n)
-                assert queried == [eng.image(orbit[0])[0][:-1] + (0,)
-                                   for orbit in affine_orbits(n)]
+                assert asked == [
+                    eng.image(b)[0][:-1] + (0,)
+                    for rank, (b, _) in enumerate(orbits)
+                    for _ in range(2 if rank in ranks else 1)], n
 
     @pytest.mark.parametrize("n", [4, 7, 8])
     def test_wrong_reversal_sign_caught(self, monkeypatch, n):
@@ -708,6 +727,8 @@ class TestOrbitRoute:
             assert det_table(n) == newton_table(n), n
 
     def test_spot_checks_keep_their_positions(self, monkeypatch):
+        # the orbits of ranks random.Random(n) draws, in stream order,
+        # each checked at its image of least q (then least by term)
         checked = []
 
         def spy(b):
@@ -715,19 +736,24 @@ class TestOrbitRoute:
             return det_coeff_er_terms(b)
 
         monkeypatch.setattr(circ, "det_coeff_er_terms", spy)
-        for n in (1, 4, 9):
+        for n in (1, 4, 9, 12):
             checked.clear()
-            det_table(n)
-            terms = permanent_terms(n)
-            spots = random.Random(n).sample(range(len(terms)),
-                                            min(circ.SPOT_CHECKS, len(terms)))
-            assert checked == [terms[i].b for i in spots]
+            orbits = list(circ.affine_orbits(n))
+            ranks = sorted(random.Random(n).sample(
+                range(len(orbits)), min(circ.SPOT_CHECKS, len(orbits))))
+            least = [min((sum(i * x for i, x in enumerate(a, 1)), a)
+                         for a in (affine_image(orbits[rank][0], u, c)
+                                   for u, c in affine_maps(n)))[1]
+                     for rank in ranks]
+            assert checked == least, n
+        # the ranks of n = 12, the last n above
+        assert ranks == [584, 1101, 1432, 1563, 1943, 2167, 2693, 2729]
 
     @pytest.mark.parametrize("n", [4, 7, 8])
     def test_wrong_sign_caught(self, monkeypatch, n):
-        images = circ._affine_images
-        monkeypatch.setattr(circ, "_affine_images", lambda n: [
-            (image, not negate) for image, negate in images(n)])
+        maps = circ._position_maps
+        monkeypatch.setattr(circ, "_position_maps", lambda n: [
+            [(image, not negate) for image, negate in row] for row in maps(n)])
         with pytest.raises(RouteDisagreement, match=rf"n={n} b=\d"):
             det_table(n)
 
@@ -771,7 +797,7 @@ class TestAffineOrbits:
         assert d_count(13) == 400024
 
     def test_d_count_holds_no_table(self):
-        # the stream holds O(orbits); det_table(12) peaks near 20 MB
+        # the stream holds O(orbits); det_table(12) peaks near 24 MB
         circ._ENGINES.pop(12, None)
         tracemalloc.start()
         try:

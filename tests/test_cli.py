@@ -98,8 +98,9 @@ class TestTable:
 
 
 class TestSpotCheck:
-    """det_table recomputes seeded terms by the literal per-partition
-    sum; a difference from the engine is a disagreement between routes."""
+    """affine_orbits recomputes seeded representatives by the literal
+    per-partition sum; a difference from the engine is a disagreement
+    between routes."""
 
     @pytest.mark.parametrize("argv", [["table", "--max-n", "4"],
                                       ["verify", "4"], ["verify", "6"]])
@@ -116,15 +117,15 @@ class TestSpotCheck:
 
 class TestTermCount:
     """affine_orbits admits its orbit count against Burnside's lemma and
-    its orbit sizes against p_count(n), det_table the number of terms
-    its walk yields, and `table` makes one capped walk per n and top."""
+    its orbit sizes against p_count(n), and `table` makes one capped walk
+    per n and top."""
 
     @pytest.mark.parametrize("argv", [["table", "--max-n", "4"],
                                       ["verify", "4"]])
     def test_short_walk_exits_2(self, capsys, monkeypatch, argv):
         # the last term of the first nonempty walk at n = 4 goes missing:
-        # x_1^4 from det_table's one walk, x_1*x_3*x_4^2 from the walks
-        # of the orbit stream
+        # x_1*x_3*x_4^2, a representative, from the walks of the orbit
+        # stream that both commands read
         walk = circ._residue_walk
         dropped = []
 
@@ -160,29 +161,36 @@ class TestTermCount:
 
 class TestOrbitAdmissions:
     """A fault planted in affine_orbits' canonical test exits 2 on the
-    admission that catches it, before any row is written."""
+    admission that catches it, before any row is written: `table` and
+    `verify` at composite and at prime-power n all read the stream."""
 
+    @pytest.mark.parametrize("argv", [["table", "--max-n", "6"],
+                                      ["verify", "7"]])
     def test_extra_representative_exits_2_on_burnside(self, capsys,
-                                                      monkeypatch):
+                                                      monkeypatch, argv):
         stabilizer = circ._stabilizer
+        n = int(argv[-1])
         kept = []
 
         def planted(b, top, maps):
-            # keeps the first term of n = 6 the canonical test rejects
+            # keeps the first term of n the canonical test rejects
             fixed = stabilizer(b, top, maps)
-            if not fixed and len(b) == 6 and not kept:
+            if not fixed and len(b) == n and not kept:
                 kept.append(b)
                 return 1
             return fixed
 
         monkeypatch.setattr(circ, "_stabilizer", planted)
-        code, out, err = run(capsys, ["table", "--max-n", "6"])
+        code, out, err = run(capsys, argv)
         assert len(kept) == 1
         assert (code, out) == (2, "")
-        assert err == ("inconsistency: n=6: orbits disagrees: 12 by "
+        assert err == (f"inconsistency: n={n}: orbits disagrees: 12 by "
                        "Burnside's lemma, 13 by the orbit walk\n")
 
-    def test_stabilizer_off_by_one_exits_2_on_p(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [["table", "--max-n", "4"],
+                                      ["verify", "4"]])
+    def test_stabilizer_off_by_one_exits_2_on_p(self, capsys, monkeypatch,
+                                                argv):
         stabilizer = circ._stabilizer
         bumped = []
 
@@ -196,7 +204,7 @@ class TestOrbitAdmissions:
             return fixed
 
         monkeypatch.setattr(circ, "_stabilizer", planted)
-        code, out, err = run(capsys, ["table", "--max-n", "4"])
+        code, out, err = run(capsys, argv)
         assert bumped == [(0, 2, 0, 2)]
         assert (code, out) == (2, "")
         assert err == ("inconsistency: n=4: p disagrees: 10 by the formula, "
@@ -621,16 +629,16 @@ class TestVerify:
         assert "inconsistency" in err
 
     def test_route_disagreement_exits_2(self, capsys, monkeypatch):
-        # a det_table coefficient off by one: the class contributions of
-        # its term no longer sum to it
-        det_table = cli._det_table
+        # one coefficient of the orbit images off by one: the class
+        # contributions of its term no longer sum to it
+        orbit_values = cli._orbit_values
 
-        def planted(n, terms):
-            coeffs = det_table(n, terms)
-            coeffs[7] += 1
-            return coeffs
+        def planted(n):
+            values = orbit_values(n)
+            values[circ.permanent_terms(n)[7].b] += 1
+            return values
 
-        monkeypatch.setattr(cli, "_det_table", planted)
+        monkeypatch.setattr(cli, "_orbit_values", planted)
         code, out, err = run(capsys, ["verify", "5"])
         b = ",".join(map(str, circ.permanent_terms(5)[7].b))
         assert code == 2

@@ -342,6 +342,35 @@ def test_row_recursion_called_only_by_filling_weight():
     assert calls == 2
 
 
+def _is_whole_walk_call(node):
+    # _residue_walk(n, n): every admissible term of n, uncapped
+    return (isinstance(node, ast.Call) and "_residue_walk" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and len(node.args) == 2 and not node.keywords
+        and ast.dump(node.args[0]) == ast.dump(node.args[1]))
+
+
+def test_whole_table_walk_called_only_by_permanent_terms():
+    # the coefficients of one n come from the orbit stream's capped
+    # walks; a second pass over every term would be a second orbit walk
+    callers, calls = set(), 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(map(_is_whole_walk_call, ast.walk(tree)))
+        callers |= {(path.name, name) for name, node in _functions(tree)
+                    if any(map(_is_whole_walk_call, ast.walk(node)))}
+    assert callers == {("circulant.py", "permanent_terms")}
+    assert calls == 1
+
+
+@pytest.mark.parametrize("source, found", [
+    ("_residue_walk(n, n)", True), ("circ._residue_walk(m, m)", True),
+    ("_residue_walk(n, k)", False), ("_residue_walk(n, n, top, n - 1)", False),
+])
+def test_whole_walk_check_reads_the_arguments(source, found):
+    assert any(map(_is_whole_walk_call, ast.walk(ast.parse(source)))) == found
+
+
 def _cli_tree():
     return ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
 
