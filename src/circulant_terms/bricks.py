@@ -31,88 +31,24 @@ the literal per-partition sum of the determinant
 (circulant.det_coeff_er_terms) its case at the matrix size.  The
 memoized row recursion _w, which reads _sub_rows once per row, serves
 filling_weight alone, the reference for w that the tests hold the
-class walk to.
+class walk to.  The randomized evaluation of the expansion at integer
+points (verify_m2p) and the brick-multiset view of a row
+(BrickMultiset, row_weight_sum) are test references and live in the
+tests' oracles, off the command line's import path.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
 from math import factorial, gcd, prod
-from random import Random
 
 from .exactmath import RouteDisagreement
 from .partitions import Partition, partitions_of, z_of
 
 
-class BrickMultiset:
-    """A multiset of brick lengths (a partition viewed as available bricks)."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, counts):
-        counts = tuple(counts)
-        if any(c < 0 for c in counts):
-            raise ValueError("counts must be non-negative")
-        while counts and counts[-1] == 0:
-            counts = counts[:-1]
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_lengths(cls, lengths):
-        lengths = tuple(lengths)
-        out = [0] * (max(lengths) if lengths else 0)
-        for s in lengths:
-            if s < 1:
-                raise ValueError("brick lengths must be positive")
-            out[s - 1] += 1
-        return cls(out)
-
-    @classmethod
-    def from_partition(cls, mu):
-        return cls.from_lengths(mu.parts)
-
-    def count(self, length):
-        """Number of bricks of the given length."""
-        if 1 <= length <= len(self.counts):
-            return self.counts[length - 1]
-        return 0
-
-    @property
-    def mass(self):
-        """Total number of boxes the bricks cover."""
-        return sum((i + 1) * c for i, c in enumerate(self.counts))
-
-    def lengths(self):
-        """All brick lengths with multiplicity, longest first."""
-        return Partition.from_beta(self.counts).parts
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BrickMultiset is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, BrickMultiset) and self.counts == other.counts
-
-    def __hash__(self):
-        return hash(self.counts)
-
-    def __repr__(self):
-        return f"BrickMultiset({self.counts})"
-
-
-def row_weight_sum(row_length, bricks):
-    """Total weight of all distinct arrangements of a brick multiset in one
-    row: the sum over arrangements of the rightmost brick's length.
-
-    Closed form (1/r) * multinomial(r; alpha) * row_length where r is the
-    number of bricks and alpha their multiplicities; always an integer.
-    """
-    if bricks.mass != row_length:
-        raise ValueError("bricks do not fill row")
-    return _row_weight(row_length, bricks.counts)
-
-
 def _row_weight(row_length, alpha):
-    # the closed form of row_weight_sum on the multiplicities alpha alone,
-    # for callers whose bricks fill the row by construction
+    # the total weight of the distinct arrangements of bricks of
+    # multiplicities alpha in one row they fill: (1/r) * multinomial(r;
+    # alpha) * row_length, r the number of bricks, always an integer
     val, rem = divmod(factorial(sum(alpha) - 1) * row_length,
                       prod(map(factorial, alpha)))
     if rem:
@@ -172,7 +108,7 @@ def filling_weight(lam, mu):
     the bricks of mu, 0 when no filling exists.
 
     Recursion over rows: split off every sub-multiset that exactly fills
-    the first row, weight it by row_weight_sum, and recurse on the rest.
+    the first row, weight it by its row weight, and recurse on the rest.
     Memoized on (remaining rows, remaining bricks); the cache is
     write-once and shared.
     """
@@ -322,8 +258,9 @@ def class_weight_sum(fc):
     """Total weight of all fillings in one equivalence class.
 
     Closed form: prod over distinct row lengths i of beta_i!/gamma(F,i)!,
-    which is prod_i beta_i!/delta(F)!, times prod over rows of
-    row_weight_sum; always an integer.
+    which is prod_i beta_i!/delta(F)!, times prod over rows of the row's
+    weight, the total weight of its brick arrangements; always an
+    integer.
     """
     return _class_weight(fc.lam.parts, fc.rows, prod(
         _row_weight(length, [m for _, m in _runs(row)])
@@ -370,88 +307,3 @@ def m_to_p_expansion(mu):
     zero coefficients omitted: the terms of _er_terms at n = 1, where
     every p_m is 1."""
     return _er_terms(mu, 1)
-
-
-class M2PReport:
-    """Outcome of randomized validation of the m-to-p expansion."""
-
-    def __init__(self, q, trials, seed, points_checked, counterexample):
-        self.q = q
-        self.trials = trials
-        self.seed = seed
-        self.points_checked = points_checked
-        self.counterexample = counterexample
-
-    @property
-    def all_match(self):
-        return self.counterexample is None
-
-    def __repr__(self):
-        status = "ok" if self.all_match else f"FAIL at {self.counterexample}"
-        return (f"M2PReport(q={self.q}, points={self.points_checked}, "
-                f"{status})")
-
-
-def _distinct_permutations(items):
-    """Yield the distinct permutations of a sorted list of items."""
-    items = sorted(items)
-    n = len(items)
-    while True:
-        yield tuple(items)
-        # next permutation in lexicographic order
-        i = n - 2
-        while i >= 0 and items[i] >= items[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while items[j] <= items[i]:
-            j -= 1
-        items[i], items[j] = items[j], items[i]
-        items[i + 1:] = reversed(items[i + 1:])
-
-
-def monomial_value(mu, point):
-    """Evaluate m_mu at a point with q coordinates (others zero): the sum
-    over distinct arrangements of mu's exponents of prod z_i^e_i."""
-    q = len(point)
-    exps = list(mu.parts) + [0] * (q - mu.k)
-    if len(exps) != q:
-        raise ValueError("point must have at least k(mu) coordinates")
-    total = 0
-    for arrangement in _distinct_permutations(exps):
-        term = 1
-        for z, e in zip(point, arrangement):
-            if e:
-                term *= z ** e
-        total += term
-    return total
-
-
-def power_sum_value(lam, point):
-    """Evaluate p_lambda at a point: prod over parts m of sum z_i^m."""
-    val = 1
-    for m in lam.parts:
-        val *= sum(z ** m for z in point)
-    return val
-
-
-def verify_m2p(q, trials, seed):
-    """Check m_mu(point) against its power-sum expansion for every mu of q
-    at `trials` random integer points; stops at the first counterexample."""
-    if not 1 <= q <= 8:
-        raise ValueError("q out of range (1..8)")
-    rng = Random(seed)
-    checked = 0
-    for mu in partitions_of(q):
-        coeffs = m_to_p_expansion(mu)
-        for _ in range(trials):
-            point = tuple(rng.randint(-9, 9) for _ in range(q))
-            direct = monomial_value(mu, point)
-            via = sum((c * power_sum_value(lam, point)
-                       for lam, c in coeffs.items()), Fraction(0))
-            checked += 1
-            if via != direct:
-                return M2PReport(q, trials, seed, checked,
-                                 (mu, point, direct, via))
-    return M2PReport(q, trials, seed, checked, None)

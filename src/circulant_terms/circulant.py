@@ -76,7 +76,6 @@ state per row and works for any n; only |coefficients| matter for d(n).
 
 import random
 from fractions import Fraction
-from itertools import combinations
 from math import comb, factorial, gcd
 from operator import add, itemgetter, mul
 
@@ -88,8 +87,6 @@ ORACLE_MAX_N = 12
 
 # exponents at the end of each term listed once per _residue_walk call
 _TAIL = 5
-
-_P_METHODS = ("formula", "congruence", "necklaces", "lattice")
 
 
 class ExponentVector:
@@ -259,88 +256,22 @@ def permanent_terms(n):
     return [ExponentVector._trusted(n, b) for b in _residue_walk(n, n)]
 
 
-def p_count(n, method="formula"):
-    """The permanent's term count p(n), by one of four independent methods.
+def p_count(n):
+    """The permanent's term count p(n), by the closed form
 
-    formula:    (1/n) * sum over d | n of phi(n/d) * C(2d-1, d)
-    congruence: count solutions of sum(i*y_i) = 0 (mod n), sum(y_i) = n
-    necklaces:  orbits of binary strings of length 2n with n ones under rotation
-    lattice:    tuples n >= w_1 >= ... >= w_(n-1) >= 0 with sum = 0 (mod n)
+        (1/n) * sum over d | n of phi(n/d) * C(2d-1, d),
 
-    The last three are exhaustive and restricted to n <= 12.
+    the number of necklaces of n black and n white beads.  The tests hold
+    it to three exhaustive counts (tests/oracles.py) to n = 12, and
+    affine_orbits to the orbit sizes at every n it walks.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if method not in _P_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "formula":
-        total = sum(euler_phi(n // d) * comb(2 * d - 1, d) for d in divisors(n))
-        count, rem = divmod(total, n)
-        if rem:
-            raise RouteDisagreement(f"n={n}: p's divisor sum / n is not whole")
-        return count
-    if n > 12:
-        raise ValueError("method limited to small n")
-    if method == "congruence":
-        return _count_congruence_solutions(n)
-    if method == "necklaces":
-        return _count_necklaces(n)
-    return _count_lattice_points(n)
-
-
-def _count_congruence_solutions(n):
-    # positions i = n..1; state (total left, weighted residue)
-    memo = {}
-
-    def count(i, total, res):
-        if i == 0:
-            return 1 if total == 0 and res == 0 else 0
-        key = (i, total, res)
-        val = memo.get(key)
-        if val is None:
-            val = sum(count(i - 1, total - y, (res - i * y) % n)
-                      for y in range(total + 1))
-            memo[key] = val
-        return val
-
-    return count(n, n, 0)
-
-
-def _count_necklaces(n):
-    length = 2 * n
-    full = (1 << length) - 1
-    count = 0
-    for positions in combinations(range(length), n):
-        mask = 0
-        for pos in positions:
-            mask |= 1 << pos
-        x = mask
-        canonical = True
-        for _ in range(length - 1):
-            x = ((x >> 1) | (x << (length - 1))) & full
-            if x < mask:
-                canonical = False
-                break
-        if canonical:
-            count += 1
+    total = sum(euler_phi(n // d) * comb(2 * d - 1, d) for d in divisors(n))
+    count, rem = divmod(total, n)
+    if rem:
+        raise RouteDisagreement(f"n={n}: p's divisor sum / n is not whole")
     return count
-
-
-def _count_lattice_points(n):
-    memo = {}
-
-    def count(remaining, bound, res):
-        if remaining == 0:
-            return 1 if res == 0 else 0
-        key = (remaining, bound, res)
-        val = memo.get(key)
-        if val is None:
-            val = sum(count(remaining - 1, v, (res - v) % n)
-                      for v in range(bound + 1))
-            memo[key] = val
-        return val
-
-    return count(n - 1, n, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +736,9 @@ def _spot_check(n, b, maps):
     # det_coeff_er(b) against the literal per-partition sum at b's image
     # of least q, where that sum is cheapest, signed by _shift_negates
     weights = range(1, n + 1)
-    _, image, negate = min((sum(map(mul, get(b), weights)), get(b), negate)
-                           for row in maps for get, negate in row)
+    _, image, negate = min((sum(map(mul, a, weights)), a, negate)
+                           for row in maps for get, negate in row
+                           for a in (get(b),))
     literal = sum(det_coeff_er_terms(
         ExponentVector._trusted(n, image)).values())
     admit(n, b, "coefficient", {

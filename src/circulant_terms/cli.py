@@ -10,11 +10,15 @@ Exit codes: 0 success/consistent, 1 usage, validation or output error, 2 an
 internal cross-check (exactmath.admit) caught an inconsistency, printed as
 one line "inconsistency: n=... [b=...]: <what> disagrees: <v1> by <r1>, ..."
 and no rows from `table` or `verify`; other errors exit 2 with a traceback.
+
+Every launch compiles what this module imports, so it imports only code a
+command runs: the certificate module for `verify`, not the theorem module
+with its per-term route; json in the JSON branch of _emit alone, and
+traceback only to report an internal error.
 """
 
 import csv
 import io
-import json
 import os
 import sys
 from fractions import Fraction
@@ -28,12 +32,13 @@ from .circulant import (ExponentVector, ORACLE_MAX_N, _affine_images,
                         _orbit_values, affine_orbits, d_count, det_coeff_er,
                         det_coeff_oracle, expand_det, hall_admissible,
                         p_count, sign_epsilon)
-from .theorem import dominance_table
+from .certificate import dominance_table
 
 # Reference term counts for n = 1..12 as (d, p); every entry is
 # recomputable from this package itself (d by any coefficient route,
-# p by any of the four counting methods).  `verify` admits its
-# recomputation against this row before it writes any.
+# p by p_count's closed form or by the orbit sizes; the tests also hold
+# p to three exhaustive counts in tests/oracles.py).  `verify` admits
+# its recomputation against this row before it writes any.
 REFERENCE_COUNTS = {
     1: (1, 1), 2: (2, 2), 3: (4, 4), 4: (10, 10), 5: (26, 26),
     6: (68, 80), 7: (246, 246), 8: (810, 810), 9: (2704, 2704),
@@ -87,6 +92,8 @@ def _emit(fieldnames, rows, fmt, out_path):
             writer.writerow([row[name] for name in fieldnames])
         text = buf.getvalue()
     else:
+        # imported here: no other path needs it, and it costs every launch
+        import json
         text = json.dumps([{name: row[name] for name in fieldnames}
                            for row in rows], indent=2) + "\n"
     if out_path is not None:

@@ -36,6 +36,9 @@ def valuation(x, p):
         raise ValueError("invalid prime")
     if x == 0:
         raise ValueError("valuation of zero undefined")
+    # most calls pass an int; isinstance on the Fraction ABC costs more
+    if type(x) is int:
+        return _int_valuation(x, p)
     if isinstance(x, Fraction):
         return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
     return _int_valuation(x, p)

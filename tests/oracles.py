@@ -1,16 +1,23 @@
 """Brute-force reference implementations used only by tests.
 
 Everything here enumerates explicitly and slowly; the package's closed
-forms and recursions are checked against these on small inputs.
+forms and recursions are checked against these on small inputs.  Some
+references live here rather than in the package so that the command
+line does not load them: the exhaustive counts of p(n) beside p_count's
+closed form, the brick-multiset view of a row, and verify_m2p, the
+evaluation of the m-to-p expansion at random integer points.
 """
 
 import random
 from collections import Counter
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
 from math import factorial, gcd, prod
 from operator import mul
 
-from circulant_terms.circulant import _residue_walk
+from circulant_terms.bricks import _row_weight, m_to_p_expansion
+from circulant_terms.circulant import _residue_walk, p_count
+from circulant_terms.partitions import Partition, partitions_of
 
 
 def weak_compositions(total, k):
@@ -259,3 +266,248 @@ def leibniz_table(n):
         key = tuple(counts)
         table[key] = table.get(key, 0) + inversion_sign(perm)
     return table
+
+
+# ---------------------------------------------------------------------------
+# the permanent's term count p(n) by three exhaustive counts, beside the
+# package's closed form
+
+
+P_METHODS = ("formula", "congruence", "necklaces", "lattice")
+
+
+def p_count_by(n, method):
+    """p(n) by one of four independent methods: "formula" is
+    circulant.p_count's closed form, the other three count exhaustively
+    and are restricted to n <= 12."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if method not in P_METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "formula":
+        return p_count(n)
+    if n > 12:
+        raise ValueError("method limited to small n")
+    if method == "congruence":
+        return count_congruence_solutions(n)
+    if method == "necklaces":
+        return count_necklaces(n)
+    return count_lattice_points(n)
+
+
+def count_congruence_solutions(n):
+    """Solutions of sum(i*y_i) = 0 (mod n) with sum(y_i) = n."""
+    # positions i = n..1; state (total left, weighted residue)
+    memo = {}
+
+    def count(i, total, res):
+        if i == 0:
+            return 1 if total == 0 and res == 0 else 0
+        key = (i, total, res)
+        val = memo.get(key)
+        if val is None:
+            val = sum(count(i - 1, total - y, (res - i * y) % n)
+                      for y in range(total + 1))
+            memo[key] = val
+        return val
+
+    return count(n, n, 0)
+
+
+def count_necklaces(n):
+    """Orbits of binary strings of length 2n with n ones under rotation."""
+    length = 2 * n
+    full = (1 << length) - 1
+    count = 0
+    for positions in combinations(range(length), n):
+        mask = 0
+        for pos in positions:
+            mask |= 1 << pos
+        x = mask
+        canonical = True
+        for _ in range(length - 1):
+            x = ((x >> 1) | (x << (length - 1))) & full
+            if x < mask:
+                canonical = False
+                break
+        if canonical:
+            count += 1
+    return count
+
+
+def count_lattice_points(n):
+    """Tuples n >= w_1 >= ... >= w_(n-1) >= 0 with sum = 0 (mod n)."""
+    memo = {}
+
+    def count(remaining, bound, res):
+        if remaining == 0:
+            return 1 if res == 0 else 0
+        key = (remaining, bound, res)
+        val = memo.get(key)
+        if val is None:
+            val = sum(count(remaining - 1, v, (res - v) % n)
+                      for v in range(bound + 1))
+            memo[key] = val
+        return val
+
+    return count(n - 1, n, 0)
+
+
+# ---------------------------------------------------------------------------
+# bricks as a multiset, and the total weight of one row's arrangements
+
+
+class BrickMultiset:
+    """A multiset of brick lengths (a partition viewed as available bricks)."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts):
+        counts = tuple(counts)
+        if any(c < 0 for c in counts):
+            raise ValueError("counts must be non-negative")
+        while counts and counts[-1] == 0:
+            counts = counts[:-1]
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def from_lengths(cls, lengths):
+        lengths = tuple(lengths)
+        out = [0] * (max(lengths) if lengths else 0)
+        for s in lengths:
+            if s < 1:
+                raise ValueError("brick lengths must be positive")
+            out[s - 1] += 1
+        return cls(out)
+
+    @classmethod
+    def from_partition(cls, mu):
+        return cls.from_lengths(mu.parts)
+
+    def count(self, length):
+        """Number of bricks of the given length."""
+        if 1 <= length <= len(self.counts):
+            return self.counts[length - 1]
+        return 0
+
+    @property
+    def mass(self):
+        """Total number of boxes the bricks cover."""
+        return sum((i + 1) * c for i, c in enumerate(self.counts))
+
+    def lengths(self):
+        """All brick lengths with multiplicity, longest first."""
+        return Partition.from_beta(self.counts).parts
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BrickMultiset is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, BrickMultiset) and self.counts == other.counts
+
+    def __hash__(self):
+        return hash(self.counts)
+
+    def __repr__(self):
+        return f"BrickMultiset({self.counts})"
+
+
+def row_weight_sum(row_length, bricks):
+    """Total weight of all distinct arrangements of a brick multiset in one
+    row: the sum over arrangements of the rightmost brick's length.
+
+    Closed form (1/r) * multinomial(r; alpha) * row_length where r is the
+    number of bricks and alpha their multiplicities; always an integer.
+    """
+    if bricks.mass != row_length:
+        raise ValueError("bricks do not fill row")
+    return _row_weight(row_length, bricks.counts)
+
+
+# ---------------------------------------------------------------------------
+# the m-to-p expansion evaluated at random integer points
+
+
+class M2PReport:
+    """Outcome of randomized validation of the m-to-p expansion."""
+
+    def __init__(self, q, trials, seed, points_checked, counterexample):
+        self.q = q
+        self.trials = trials
+        self.seed = seed
+        self.points_checked = points_checked
+        self.counterexample = counterexample
+
+    @property
+    def all_match(self):
+        return self.counterexample is None
+
+    def __repr__(self):
+        status = "ok" if self.all_match else f"FAIL at {self.counterexample}"
+        return (f"M2PReport(q={self.q}, points={self.points_checked}, "
+                f"{status})")
+
+
+def distinct_permutations(items):
+    """Yield the distinct permutations of a sorted list of items."""
+    items = sorted(items)
+    n = len(items)
+    while True:
+        yield tuple(items)
+        # next permutation in lexicographic order
+        i = n - 2
+        while i >= 0 and items[i] >= items[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while items[j] <= items[i]:
+            j -= 1
+        items[i], items[j] = items[j], items[i]
+        items[i + 1:] = reversed(items[i + 1:])
+
+
+def monomial_value(mu, point):
+    """Evaluate m_mu at a point with q coordinates (others zero): the sum
+    over distinct arrangements of mu's exponents of prod z_i^e_i."""
+    q = len(point)
+    exps = list(mu.parts) + [0] * (q - mu.k)
+    if len(exps) != q:
+        raise ValueError("point must have at least k(mu) coordinates")
+    total = 0
+    for arrangement in distinct_permutations(exps):
+        term = 1
+        for z, e in zip(point, arrangement):
+            if e:
+                term *= z ** e
+        total += term
+    return total
+
+
+def power_sum_value(lam, point):
+    """Evaluate p_lambda at a point: prod over parts m of sum z_i^m."""
+    val = 1
+    for m in lam.parts:
+        val *= sum(z ** m for z in point)
+    return val
+
+
+def verify_m2p(q, trials, seed):
+    """Check m_mu(point) against its power-sum expansion for every mu of q
+    at `trials` random integer points; stops at the first counterexample."""
+    if not 1 <= q <= 8:
+        raise ValueError("q out of range (1..8)")
+    rng = random.Random(seed)
+    checked = 0
+    for mu in partitions_of(q):
+        coeffs = m_to_p_expansion(mu)
+        for _ in range(trials):
+            point = tuple(rng.randint(-9, 9) for _ in range(q))
+            direct = monomial_value(mu, point)
+            via = sum((c * power_sum_value(lam, point)
+                       for lam, c in coeffs.items()), Fraction(0))
+            checked += 1
+            if via != direct:
+                return M2PReport(q, trials, seed, checked,
+                                 (mu, point, direct, via))
+    return M2PReport(q, trials, seed, checked, None)

@@ -5,15 +5,19 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    BrickMultiset,
     class_signature,
     classes_brute,
     filling_weight_brute,
+    monomial_value,
+    power_sum_value,
+    row_weight_sum,
     sub_multisets,
+    verify_m2p,
 )
 from circulant_terms import clear_caches
 from circulant_terms.bricks import (
     _W_MEMO,
-    BrickMultiset,
     FillingClass,
     _class_walk,
     _er_term,
@@ -23,10 +27,6 @@ from circulant_terms.bricks import (
     enumerate_filling_classes,
     filling_weight,
     m_to_p_expansion,
-    monomial_value,
-    power_sum_value,
-    row_weight_sum,
-    verify_m2p,
 )
 from circulant_terms.exactmath import RouteDisagreement
 from circulant_terms.partitions import Partition, partitions_of, z_of

@@ -6,10 +6,11 @@ from math import comb, gcd
 
 import pytest
 
-from oracles import (admissible_by_filter, affine_image, affine_maps,
-                     affine_orbits, heavy_draws, inversion_sign,
-                     leibniz_table, newton_table, random_admissible,
-                     random_sparse_admissible, weak_compositions)
+from oracles import (P_METHODS, admissible_by_filter, affine_image,
+                     affine_maps, affine_orbits, heavy_draws, inversion_sign,
+                     leibniz_table, newton_table, p_count_by,
+                     random_admissible, random_sparse_admissible,
+                     weak_compositions)
 import circulant_terms.bricks as bricks
 import circulant_terms.circulant as circ
 from circulant_terms.circulant import (
@@ -159,9 +160,9 @@ class TestPCount:
         assert p_count(12) == 112720
 
     def test_all_methods_agree_small(self):
+        # the closed form against the three exhaustive counts
         for n in range(1, 9):
-            vals = {m: p_count(n, method=m)
-                    for m in ("formula", "congruence", "necklaces", "lattice")}
+            vals = {m: p_count_by(n, m) for m in P_METHODS}
             assert len(set(vals.values())) == 1, vals
             assert vals["formula"] == P_REFERENCE[n - 1]
 
@@ -171,15 +172,15 @@ class TestPCount:
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
-            p_count(4, method="guess")
+            p_count_by(4, "guess")
 
     def test_enumerative_methods_bounded(self):
         with pytest.raises(ValueError):
-            p_count(13, method="congruence")
+            p_count_by(13, "congruence")
         with pytest.raises(ValueError):
-            p_count(13, method="necklaces")
+            p_count_by(13, "necklaces")
         # the closed form has no such limit
-        assert p_count(13) == 400024
+        assert p_count_by(13, "formula") == p_count(13) == 400024
 
     def test_formula_large_value_is_integral(self):
         # the divisor sum must always be divisible by n

@@ -733,6 +733,35 @@ class TestParser:
         assert subprocess.run([sys.executable, "-S", "-c", code],
                               env=env).returncode == 0
 
+    def test_json_and_theorem_not_imported(self):
+        # every launch compiles what cli imports: json is loaded by the
+        # JSON output alone, and the per-term theorem module never
+        code = ("import sys; from circulant_terms import cli; "
+                "cli.main(['coeff', '5', '1,1,1,1,1']); "
+                "cli.main(['table', '--max-n', '4']); "
+                "sys.exit(bool({'json', 'circulant_terms.theorem'} "
+                "& set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ('n,b,coeff_er\n5,"1,1,1,1,1",-5\n'
+                               'n,d,p,equal\n1,1,1,true\n2,2,2,true\n'
+                               '3,4,4,true\n4,10,10,true\n')
+
+    def test_json_output_loads_json_on_demand(self):
+        code = ("import sys; from circulant_terms import cli; "
+                "cli.main(['coeff', '5', '1,1,1,1,1', '--format', 'json']); "
+                "sys.exit('json' not in sys.modules)")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, (
+            '[\n  {\n    "n": "5",\n    "b": "1,1,1,1,1",\n'
+            '    "coeff_er": "-5"\n  }\n]\n'))
+
     def test_argparse_and_locale_not_imported(self):
         # argparse's first gettext lookup imports locale, and building its
         # parsers cost more than a small coeff query

@@ -55,6 +55,21 @@ class TestValuation:
         y = Fraction(c, d)
         assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
 
+    def test_int_path_matches_fraction_path(self):
+        # a plain int skips the Fraction check; an int subclass and a
+        # whole Fraction take the other path to the same value
+        for x in (1, -1, 12, 2 ** 40 * 3 ** 7, -(5 ** 9)):
+            for p in (2, 3, 5, 7):
+                assert valuation(x, p) == valuation(Fraction(x), p)
+        assert valuation(True, 2) == 0
+
+    @pytest.mark.parametrize("x", [0, Fraction(0)])
+    def test_errors_unchanged_on_both_paths(self, x):
+        with pytest.raises(ValueError, match="^invalid prime$"):
+            valuation(x, 1)
+        with pytest.raises(ValueError, match="^valuation of zero undefined$"):
+            valuation(x, 2)
+
     def test_recovers_power(self):
         for p in (2, 3, 5):
             for v in range(-4, 5):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import circulant_terms.bricks as bricks
+import circulant_terms.certificate as certificate
 import circulant_terms.circulant as circulant
 import circulant_terms.cli as cli
 import circulant_terms.exactmath as exactmath
@@ -26,11 +27,11 @@ from circulant_terms.circulant import (
 )
 from circulant_terms.exactmath import prime_power, valuation
 from circulant_terms.partitions import Partition, partitions_of, z_of
+from circulant_terms.certificate import dominance_table
 from circulant_terms.theorem import (
     class_contribution,
     contribution_ratio_factors,
     dominance_check,
-    dominance_table,
     lemma_check,
     q_class_contribution,
 )
@@ -60,7 +61,7 @@ class TestQClassContribution:
     def test_integer_form_is_the_numerator(self, n):
         # dominance_table's per-term check reads the closed form as an int
         for ev in permanent_terms(n):
-            assert theorem._q_class_value(n, ev.b) == \
+            assert certificate._q_class_value(n, ev.b) == \
                 q_class_contribution(ev).numerator
 
 
@@ -274,8 +275,8 @@ class TestOneWalkPerTerm:
         # every coefficient engine
         sizes = {"engine_states": cache_sizes()["engine_states"]}
         seen = set()
-        for module in (bricks, circulant, cli, exactmath, partitions,
-                       theorem):
+        for module in (bricks, certificate, circulant, cli, exactmath,
+                       partitions, theorem):
             for name, value in vars(module).items():
                 if (not name.startswith("__") and id(value) not in seen
                         and isinstance(value, (dict, list, set))):
@@ -409,9 +410,8 @@ class TestDominanceTable:
         # the walk's rows must number p(n) - 1 by the closed form
         terms = [b.b for b in permanent_terms(5)]
         coeffs = det_table(5)
-        real = theorem.p_count
-        monkeypatch.setattr(theorem, "p_count",
-                            lambda n, method="formula": real(n) + 1)
+        real = certificate.p_count
+        monkeypatch.setattr(certificate, "p_count", lambda n: real(n) + 1)
         with pytest.raises(RouteDisagreement, match=r"^n=5: "):
             list(dominance_table(5, terms, coeffs))
 
@@ -445,13 +445,13 @@ class TestDominanceTable:
     def test_lambda_terms_once_per_q(self, monkeypatch):
         # the lambda terms depend on a term only through q: 8 q's at n = 8
         seen = []
-        real = theorem._lambda_terms
+        real = certificate._lambda_terms
 
         def counted(mu, n, p):
             seen.append(mu.q)
             return real(mu, n, p)
 
-        monkeypatch.setattr(theorem, "_lambda_terms", counted)
+        monkeypatch.setattr(certificate, "_lambda_terms", counted)
         terms = [b.b for b in permanent_terms(8)]
         table = list(dominance_table(8, terms, det_table(8)))
         assert len(table) == 810
