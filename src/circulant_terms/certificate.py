@@ -2,6 +2,8 @@
 
 For n = p^r, dominance_table gives dominance_check's verdict on every
 admissible term of n at once (see the theorem module for the argument).
+It reads terms and coefficients from circulant._orbit_values' map,
+admitted against p(n) there, and checks no term again.
 It meets each class of each term once in a single walk over the
 zero-residue rows of n, the brick multisets every class but <q> is made
 of, instead of a class walk per term, and builds the <q> class of each
@@ -50,12 +52,13 @@ def _lambda_terms(mu, n, p):
                  for lam, unit in units}
 
 
-def dominance_table(n, terms, coeffs):
+def dominance_table(n, values):
     """dominance_check's verdict on every admissible b of size n = p^r at
-    once: yields (passed, q_class_valuation, other valuations ascending)
-    for each exponent tuple of terms, which must list every admissible b
-    once, in order; coeffs holds their coefficients, det_table(n) say.
-    Raises ValueError, before the first verdict, if they do not.
+    once: yields (b, passed, q_class_valuation, other valuations
+    ascending) for each b in order.  values maps every admissible b to
+    its coefficient, as circulant._orbit_values(n) gives it: built from
+    the orbit stream's canonical terms and admitted against p(n) there.
+    Raises ValueError for a composite n.
 
     Every class but <q> is a multiset of two or more zero-residue rows:
     brick multisets of fewer than n bricks whose mass is a multiple of
@@ -69,7 +72,7 @@ def dominance_table(n, terms, coeffs):
     each its packed counts and q, and each lambda's term at weight 1 is
     computed once per q.  Each term then gets dominance_check's two
     checks, in integers, each an admit naming n and b: the base class
-    against q_class_contribution's closed form, the sum against coeffs."""
+    against q_class_contribution's closed form, the sum against values[b]."""
     pp = prime_power(n)
     if pp is None:
         raise ValueError("dominance argument applies to prime powers only")
@@ -83,23 +86,16 @@ def dominance_table(n, terms, coeffs):
             mass = sum(map(mul, a, degrees))
             rows.append((mass, sum(map(lshift, a, shifts)), k,
                          _row_weight(mass, a)))
-    size = p_count(n)
-    admit(n, None, "p - 1", {"the formula": size - 1,
+    admit(n, None, "p - 1", {"the formula": p_count(n) - 1,
                              "the zero-residue rows": len(rows)})
     # each term's packed counts and q, and the first term of each q
+    terms = sorted(values)
     index, qs, firsts = {}, [], {}
     for t, b in enumerate(terms):
         q = sum(map(mul, b, degrees))
-        if len(b) != n or min(b) < 0 or sum(b) != n or q % n:
-            raise ValueError(f"terms must list every admissible b once, "
-                             f"not {b}")
         index[sum(map(lshift, b, shifts))] = t
         qs.append(q)
         firsts.setdefault(q, b)
-    if len(index) != size or len(terms) != size:
-        raise ValueError("terms must list every admissible b once")
-    if len(coeffs) != size:
-        raise ValueError("coeffs must hold one coefficient per term")
     # equal masses, and so identical rows, sit next to each other, as
     # _class_weight needs
     rows.sort()
@@ -128,10 +124,10 @@ def dominance_table(n, terms, coeffs):
         dens[q], lambda_terms = _lambda_terms(Partition.from_beta(b), n, p)
         for parts, (_, _, num, v) in lambda_terms.items():
             units.setdefault(parts[:0:-1], {})[parts[0]] = num, v
-    totals = [0] * size
+    totals = [0] * len(terms)
     # per term: the valuations of its classes, 2 bytes each (1,543,484
     # classes at n = 11; a valuation past 2^15 would raise OverflowError)
-    spectra = [array("h") for _ in range(size)]
+    spectra = [array("h") for _ in terms]
 
     def descend(start, left, key, parts, picked, weight):
         # the rows so far: their masses, list positions, packed counts and
@@ -183,8 +179,8 @@ def dominance_table(n, terms, coeffs):
         num = ones[q][0] * _row_weight(q, b)
         admit(n, b, _BASE, {"q_class_contribution": base * den,
                             "the one-row class": num})
-        admit(n, b, _SUM, {"the coefficient": coeffs[t] * den,
+        admit(n, b, _SUM, {"the coefficient": values[b] * den,
                            "the class contributions": totals[t] + num})
         v_base = valuation(base, p)
         spectrum, spectra[t] = sorted(spectra[t]), None
-        yield not spectrum or spectrum[0] > v_base, v_base, spectrum
+        yield b, not spectrum or spectrum[0] > v_base, v_base, spectrum

@@ -60,12 +60,14 @@ unit's layout in _Engine.units is the one statement of the substitution
 (_Engine.image and _position_maps read it).
 
 affine_orbits streams the orbits of the admissible terms under these
-maps, a representative and its size each, holding no orbit once passed.
-Its orbit count is admitted against Burnside's lemma, its sizes against
-p(n) by the closed form, and seeded representatives against the literal
-per-partition sum, which shares no code with the engine.  d(n), `table`
-and `verify` read it: _orbit_values, behind det_table and `verify` at
-prime powers, gives each image of a representative its signed value.
+maps, a representative, its size and its coefficient each, from one
+engine query per orbit, holding no orbit once passed.  Its orbit count
+is admitted against Burnside's lemma, its sizes against p(n) by the
+closed form, and seeded representatives' coefficients against the
+literal per-partition sum, which shares no code with the engine.  d(n),
+`table` and `verify` read the coefficients from it: _orbit_values,
+behind det_table and `verify` at prime powers, gives each image of a
+representative its signed value.
 
 The global sign eps(n): rows of A depend on i+j rather than i-j, making
 A a "left" circulant, and det(A) = eps(n) * prod(c_i) with eps(n)
@@ -732,9 +734,9 @@ def _stabilizer(b, top, maps):
     return fixed
 
 
-def _spot_check(n, b, maps):
-    # det_coeff_er(b) against the literal per-partition sum at b's image
-    # of least q, where that sum is cheapest, signed by _shift_negates
+def _spot_check(n, b, coeff, maps):
+    # coeff = det_coeff_er(b) against the literal per-partition sum at
+    # b's image of least q, where it is cheapest, signed by _shift_negates
     weights = range(1, n + 1)
     _, image, negate = min((sum(map(mul, a, weights)), a, negate)
                            for row in maps for get, negate in row
@@ -742,18 +744,20 @@ def _spot_check(n, b, maps):
     literal = sum(det_coeff_er_terms(
         ExponentVector._trusted(n, image)).values())
     admit(n, b, "coefficient", {
-        "the engine": det_coeff_er(ExponentVector._trusted(n, b)),
+        "the engine": coeff,
         "the per-partition sum": -literal if negate else literal})
 
 
 def affine_orbits(n):
-    """Yield (b, size) for each affine orbit of the admissible terms of
-    size n, holding nothing of an orbit once yielded: b is the least of
-    its terms that hold a largest exponent at x_n, and size n*phi(n)
-    over the number of maps that fix b.  For top = 1..n the walk takes
+    """Yield (b, size, coeff) for each affine orbit of the admissible
+    terms of size n, holding nothing of an orbit once yielded: b is the
+    least of its terms that hold a largest exponent at x_n, size n*phi(n)
+    over the number of maps that fix b, and coeff det_coeff_er(b), the
+    orbit's one engine query.  For top = 1..n the walk takes
     x_1..x_(n-1) at most top, of degree n - top and residue 0, and
     x_n = top; _stabilizer keeps the least.  SPOT_CHECKS orbits, drawn
-    by rank with random.Random(n), go through _spot_check.  The count
+    by rank with random.Random(n), have their coeff held to the literal
+    per-partition sum by _spot_check before they are yielded.  The count
     must equal _burnside_count(n) and the sizes sum to p_count(n), or
     admit raises RouteDisagreement naming n (and b for a spot check)."""
     if n < 1:
@@ -769,11 +773,12 @@ def affine_orbits(n):
             b = a + (top,)
             fixed = _stabilizer(b, top, maps)
             if fixed:
+                coeff = det_coeff_er(ExponentVector._trusted(n, b))
                 if count in spots:
-                    _spot_check(n, b, maps)
+                    _spot_check(n, b, coeff, maps)
                 count += 1
                 total += group // fixed
-                yield b, group // fixed
+                yield b, group // fixed, coeff
     admit(n, None, "orbits", {"Burnside's lemma": orbits,
                               "the orbit walk": count})
     admit(n, None, "p", {"the formula": p_count(n), "the orbit sizes": total})
@@ -783,8 +788,7 @@ def d_count(n):
     """The determinant's term count d(n): the sizes of the affine orbits
     whose representative's coefficient is nonzero.  The oracle's count
     is len(expand_det(n)) (n <= 12)."""
-    return sum(size for b, size in affine_orbits(n)
-               if det_coeff_er(ExponentVector._trusted(n, b)))
+    return sum(size for _, size, coeff in affine_orbits(n) if coeff)
 
 
 def _orbit_values(n):
@@ -797,8 +801,7 @@ def _orbit_values(n):
         raise ValueError("n must be positive")
     images = _affine_images(n)
     values = {}
-    for b, _ in affine_orbits(n):
-        value = det_coeff_er(ExponentVector._trusted(n, b))
+    for b, _, value in affine_orbits(n):
         for image, negate in images:
             values[image(b)] = -value if negate else value
     admit(n, None, "p", {"the formula": p_count(n),

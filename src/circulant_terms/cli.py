@@ -243,10 +243,8 @@ def cmd_verify(args):
     if prime_power(n) is None:
         return _list_vanishing(n, fieldnames, args)
     values = _orbit_values(n)
-    terms = sorted(values)
-    coeffs = [values[b] for b in terms]
-    nonzero = sum(1 for c in coeffs if c)
-    admit(n, None, "(d, p)", {"the coefficient table": (nonzero, len(terms)),
+    nonzero = sum(1 for c in values.values() if c)
+    admit(n, None, "(d, p)", {"the coefficient table": (nonzero, len(values)),
                               "REFERENCE_COUNTS": REFERENCE_COUNTS[n]})
     passes = 0
 
@@ -255,30 +253,29 @@ def cmd_verify(args):
         # holds every row at once; the passes are admitted after the
         # last, before _emit writes any of its text
         nonlocal passes
-        for b, (passed, v_base, others) in zip(
-                terms, dominance_table(n, terms, coeffs)):
+        for b, passed, v_base, others in dominance_table(n, values):
             passes += passed
             yield {"n": str(n), "b": ",".join(map(str, b)),
                    "pass": "true" if passed else "false",
                    "valuations": f"{v_base}|{','.join(map(str, others))}"}
         admit(n, None, "the terms that pass", {"dominance_table": passes,
-                                               "p": len(terms)})
+                                               "p": len(values)})
 
     _emit(fieldnames, certified(), args.format, args.out)
-    print(f"{passes}/{len(terms)} dominance passes, d={nonzero}, "
-          f"p={len(terms)}", file=sys.stderr)
+    print(f"{passes}/{len(values)} dominance passes, d={nonzero}, "
+          f"p={len(values)}", file=sys.stderr)
     return 0
 
 
 def _list_vanishing(n, fieldnames, args):
-    # composite n: d and p sum the orbit sizes, and each orbit whose
-    # coefficient vanishes is expanded by its images
+    # composite n: d and p sum the orbit sizes, and only the orbits whose
+    # coefficient vanishes are expanded, not _orbit_values' whole map
     d = p = 0
     vanishing = set()
     maps = _affine_images(n)
-    for b, size in affine_orbits(n):
+    for b, size, coeff in affine_orbits(n):
         p += size
-        if det_coeff_er(ExponentVector._trusted(n, b)):
+        if coeff:
             d += size
         else:
             vanishing.update(image(b) for image, _ in maps)

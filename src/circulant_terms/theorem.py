@@ -150,7 +150,7 @@ def dominance_check(b, n, coefficient=None):
     then the others.  Passes iff the <q>-class valuation is strictly
     smaller than all others.  admit raises RouteDisagreement naming n and
     b if the contributions fail to sum to the coefficient of x^b: the
-    given one (a det_table entry, say), or else det_coeff_er(b)."""
+    given one (an _orbit_values(n) entry, say), or else det_coeff_er(b)."""
     pp = prime_power(n)
     if pp is None:
         raise ValueError("dominance argument applies to prime powers only")

@@ -700,19 +700,15 @@ class TestOrbitRoute:
             queried.clear()
             det_table(n)
             asked = list(queried)
-            spots = min(circ.SPOT_CHECKS, ORBIT_COUNTS[n - 1])
-            assert len(asked) == ORBIT_COUNTS[n - 1] + spots, n
+            # the spot checks read the stream's value and ask nothing more
+            assert len(asked) == ORBIT_COUNTS[n - 1], n
             if n < 10:
                 # the image _Engine.image picks for each representative of
-                # affine_orbits, with x_n set to 0; a spot-checked one is
-                # asked once more, by _spot_check
+                # affine_orbits, with x_n set to 0
                 orbits = list(circ.affine_orbits(n))
-                ranks = random.Random(n).sample(range(len(orbits)), spots)
                 eng = circ._engine(n)
-                assert asked == [
-                    eng.image(b)[0][:-1] + (0,)
-                    for rank, (b, _) in enumerate(orbits)
-                    for _ in range(2 if rank in ranks else 1)], n
+                assert asked == [eng.image(b)[0][:-1] + (0,)
+                                 for b, _, _ in orbits], n
 
     @pytest.mark.parametrize("n", [4, 7, 8])
     def test_wrong_reversal_sign_caught(self, monkeypatch, n):
@@ -770,8 +766,17 @@ class TestAffineOrbits:
                 rep = min(b for b in orbit if b[-1] == top)
                 orbits[rep] = len(orbit)
             stream = list(circ.affine_orbits(n))
-            assert dict(stream) == orbits, n
+            assert {b: size for b, size, _ in stream} == orbits, n
             assert len(stream) == len(orbits), n
+
+    def test_coeff_is_the_representatives_coefficient(self):
+        # the orbit's one engine query gives b's own value, signed as the
+        # Newton oracle signs it
+        for n in range(1, 10):
+            coeff = dict(zip((ev.b for ev in permanent_terms(n)),
+                             newton_table(n)))
+            for b, _, value in circ.affine_orbits(n):
+                assert value == coeff[b], (n, b)
 
     def test_burnside_count(self):
         for n in range(1, 13):

@@ -323,6 +323,28 @@ def test_engine_queried_only_by_det_coeff_er():
     assert calls == 1
 
 
+def _is_det_coeff_er_call(node):
+    return isinstance(node, ast.Call) and "det_coeff_er" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_det_coeff_er_called_only_by_the_orbit_stream_and_single_terms():
+    # each orbit's coefficient is asked once, by affine_orbits, and the
+    # stream's readers take it from there; the other callers each ask
+    # for one term
+    callers, calls = set(), 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(map(_is_det_coeff_er_call, ast.walk(tree)))
+        callers |= {(path.name, name) for name, node in _functions(tree)
+                    if any(map(_is_det_coeff_er_call, ast.walk(node)))}
+    assert callers == {("circulant.py", "affine_orbits"),
+                       ("circulant.py", "sign_epsilon"),
+                       ("cli.py", "cmd_coeff"),
+                       ("theorem.py", "dominance_check")}
+    assert calls == 4
+
+
 def _is_row_recursion_call(node):
     return isinstance(node, ast.Call) and "_w" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None))

@@ -366,81 +366,69 @@ class TestDominanceTable:
 
     @staticmethod
     def _table(n):
-        terms = permanent_terms(n)
-        coeffs = det_table(n)
-        return terms, coeffs, list(dominance_table(
-            n, [b.b for b in terms], coeffs))
+        values = circulant._orbit_values(n)
+        return values, list(dominance_table(n, values))
 
     @staticmethod
-    def _verdict(b, c):
-        report = dominance_check(b, b.n, c)
+    def _verdict(n, b, c):
+        report = dominance_check(ExponentVector(n, b), n, c)
         return (report.passed, report.q_class_valuation,
                 report.other_valuations())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9])
     def test_every_term_matches_dominance_check(self, n):
-        terms, coeffs, table = self._table(n)
-        assert len(table) == len(terms)
-        for b, c, verdict in zip(terms, coeffs, table):
-            assert verdict == self._verdict(b, c), b.b
+        values, table = self._table(n)
+        assert [b for b, _, _, _ in table] == \
+            [ev.b for ev in permanent_terms(n)]
+        for b, passed, v_base, others in table:
+            assert (passed, v_base, others) == \
+                self._verdict(n, b, values[b]), b
 
     def test_seeded_terms_of_11_match_dominance_check(self):
-        terms, coeffs, table = self._table(11)
+        values, table = self._table(11)
         assert len(table) == 32066
-        assert all(passed for passed, _, _ in table)
+        assert all(passed for _, passed, _, _ in table)
         for i in random.Random("dominance-table-11").sample(
-                range(len(terms)), 300):
-            assert table[i] == self._verdict(terms[i], coeffs[i]), \
-                terms[i].b
+                range(len(table)), 300):
+            b, passed, v_base, others = table[i]
+            assert (passed, v_base, others) == \
+                self._verdict(11, b, values[b]), b
+
+    def test_sorts_the_map_itself(self):
+        values, table = self._table(5)
+        backward = dict(sorted(values.items(), reverse=True))
+        assert list(dominance_table(5, backward)) == table
 
     @pytest.mark.parametrize("n", [8, 9])
     def test_off_by_one_is_caught(self, n):
-        terms = [b.b for b in permanent_terms(n)]
-        coeffs = det_table(n)
+        values = circulant._orbit_values(n)
+        terms = sorted(values)
         for i in random.Random(f"off-by-one-{n}").sample(range(len(terms)),
                                                         12):
             b = ",".join(map(str, terms[i]))
-            for wrong in (coeffs[i] - 1, coeffs[i] + 1):
-                planted = coeffs[:i] + [wrong] + coeffs[i + 1:]
+            for wrong in (values[terms[i]] - 1, values[terms[i]] + 1):
+                planted = {**values, terms[i]: wrong}
                 with pytest.raises(RouteDisagreement,
                                    match=rf"^n={n} b={b}: "):
-                    list(dominance_table(n, terms, planted))
+                    list(dominance_table(n, planted))
 
     def test_row_count_is_checked(self, monkeypatch):
         # the walk's rows must number p(n) - 1 by the closed form
-        terms = [b.b for b in permanent_terms(5)]
-        coeffs = det_table(5)
+        values = circulant._orbit_values(5)
         real = certificate.p_count
         monkeypatch.setattr(certificate, "p_count", lambda n: real(n) + 1)
         with pytest.raises(RouteDisagreement, match=r"^n=5: "):
-            list(dominance_table(5, terms, coeffs))
+            list(dominance_table(5, values))
 
     def test_nothing_held_through_a_whole_run(self):
         terms, _, table = TestOneWalkPerTerm()._assert_nothing_grows(
             8, lambda terms, coeffs: list(dominance_table(
-                8, [b.b for b in terms], [coeffs[b] for b in terms])))
+                8, {b.b: coeffs[b] for b in terms})))
         assert len(table) == len(terms) == 810
 
     def test_composite_n_rejected(self):
         with pytest.raises(ValueError):
-            list(dominance_table(6, [b.b for b in permanent_terms(6)],
-                                 det_table(6)))
-
-    def test_every_term_required(self):
-        terms = [b.b for b in permanent_terms(5)]
-        with pytest.raises(ValueError):
-            list(dominance_table(5, terms[1:], det_table(5)[1:]))
-
-    def test_inadmissible_term_rejected_before_any_verdict(self):
-        terms = [b.b for b in permanent_terms(5)]
-        terms[3] = (4, 1, 0, 0, 0)
-        with pytest.raises(ValueError, match=r"\(4, 1, 0, 0, 0\)"):
-            next(dominance_table(5, terms, det_table(5)))
-
-    def test_short_coeffs_rejected_before_any_verdict(self):
-        terms = [b.b for b in permanent_terms(5)]
-        with pytest.raises(ValueError, match="coeffs"):
-            next(dominance_table(5, terms, det_table(5)[:-1]))
+            list(dominance_table(6, circulant._orbit_values(6)))
 
     def test_lambda_terms_once_per_q(self, monkeypatch):
         # the lambda terms depend on a term only through q: 8 q's at n = 8
@@ -452,8 +440,7 @@ class TestDominanceTable:
             return real(mu, n, p)
 
         monkeypatch.setattr(certificate, "_lambda_terms", counted)
-        terms = [b.b for b in permanent_terms(8)]
-        table = list(dominance_table(8, terms, det_table(8)))
+        table = list(dominance_table(8, circulant._orbit_values(8)))
         assert len(table) == 810
         assert sorted(seen) == list(range(8, 65, 8))
 
