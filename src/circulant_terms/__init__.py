@@ -11,8 +11,8 @@ from .partitions import Partition, factorial_of_partition, partitions_of, z_of
 from .bricks import (FillingClass, class_weight_sum,
                      enumerate_filling_classes, filling_weight,
                      m_to_p_expansion)
-from .circulant import (ExponentVector, RouteDisagreement, TermTable,
-                        cache_sizes, clear_caches, d_count, det_coeff_er,
+from .circulant import (ExponentVector, RouteDisagreement, cache_sizes,
+                        clear_caches, d_count, det_coeff_er,
                         det_coeff_er_terms, det_coeff_oracle, det_table,
                         expand_det, hall_admissible, p_count,
                         permanent_terms, sign_epsilon)
@@ -40,7 +40,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DominanceReport", "ExponentVector", "FillingClass", "Partition",
-    "RouteDisagreement", "TermTable", "cache_sizes", "class_contribution",
+    "RouteDisagreement", "cache_sizes", "class_contribution",
     "class_weight_sum", "clear_caches", "contribution_ratio_factors",
     "d_count", "det_coeff_er", "det_coeff_er_terms", "det_coeff_oracle",
     "det_table", "divisors", "dominance_check", "enumerate_filling_classes",

@@ -146,34 +146,6 @@ class ExponentVector:
         return ",".join(str(x) for x in self.b)
 
 
-class TermTable:
-    """A fully expanded determinant at small n: ExponentVector -> coefficient."""
-
-    def __init__(self, n, entries):
-        self.n = n
-        clean = {}
-        for key, coeff in entries.items():
-            if not isinstance(key, ExponentVector) or key.n != n:
-                raise ValueError("keys must be ExponentVectors of size n")
-            if coeff:
-                clean[key] = coeff
-        self.entries = clean
-
-    @classmethod
-    def _trusted(cls, n, entries):
-        # for keys of size n and nonzero coefficients by construction
-        table = object.__new__(cls)
-        table.n = n
-        table.entries = entries
-        return table
-
-    def coefficient(self, b):
-        return self.entries.get(b, 0)
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def hall_admissible(b):
     """True iff sum(i*b_i) = 0 (mod n): x^b appears in the permanent."""
     return b.q % b.n == 0
@@ -351,11 +323,13 @@ def det_coeff_oracle(b):
 
 
 def expand_det(n):
-    """The fully expanded determinant as a TermTable (n <= 12), like
-    terms combined, zeros dropped.  _leibniz sums the permutations with
-    sigma(0) = 0 under a budget of n for every variable, and the column
-    shift by c turns each of their terms into one with exponents rotated
-    by c and sign times (-1)^(c(n-1)).  The entries come in no
+    """The fully expanded determinant (n <= 12) as {b: coefficient},
+    b an exponent tuple of n entries summing to n, like terms combined
+    and zero coefficients dropped, so len(expand_det(n)) is d(n): the
+    shape of _leibniz and _orbit_values.  _leibniz sums the permutations
+    with sigma(0) = 0 under a budget of n for every variable, and the
+    column shift by c turns each of their terms into one with exponents
+    rotated by c and sign times (-1)^(c(n-1)).  The entries come in no
     particular order."""
     if n < 1:
         raise ValueError("n must be positive")
@@ -371,9 +345,8 @@ def expand_det(n):
         for key, coeff in sums.items():
             shifted = key[n - c:] + key[:n - c]
             raw[shifted] = raw.get(shifted, 0) + sign * coeff
-    table = TermTable._trusted(n, {ExponentVector._trusted(n, key): coeff
-                                   for key, coeff in raw.items() if coeff})
-    _EXPAND_CACHE[n] = table
+    table = _EXPAND_CACHE[n] = {key: coeff for key, coeff in raw.items()
+                                if coeff}
     return table
 
 

@@ -6,15 +6,17 @@ diagnostics go to stderr.  Every value is serialized as a decimal string
 (rationals as "num/den"), so no consumer ever sees a float, and identical
 invocations produce byte-identical output.
 
-Exit codes: 0 success/consistent, 1 usage, validation or output error, 2 an
-internal cross-check (exactmath.admit) caught an inconsistency, printed as
-one line "inconsistency: n=... [b=...]: <what> disagrees: <v1> by <r1>, ..."
-and no rows from `table` or `verify`; other errors exit 2 with a traceback.
+Exit codes: 0 success/consistent, 1 usage, validation or output error (a
+closed stdout included), 2 an internal cross-check (exactmath.admit)
+caught an inconsistency, printed as one line "inconsistency: n=...
+[b=...]: <what> disagrees: <v1> by <r1>, ..." and no rows from `table` or
+`verify`.  Any other error is not caught: the interpreter prints its
+traceback and exits 1.
 
 Every launch compiles what this module imports, so it imports only code a
 command runs: the certificate module for `verify`, not the theorem module
-with its per-term route; json in the JSON branch of _emit alone, and
-traceback only to report an internal error.
+with its per-term route, and json in the JSON branch of _emit alone;
+traceback never, the interpreter's own handler reports an uncaught error.
 """
 
 import csv
@@ -98,17 +100,29 @@ def _emit(fieldnames, rows, fmt, out_path):
                            for row in rows], indent=2) + "\n"
     if out_path is not None:
         _write_out(out_path, text)
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # what stdout still buffers would fail again at exit, with a
+        # second message and status 120, so it goes to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise _OutputError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _check_destination(path):
     if not path:
         raise _OutputError("cannot write '': empty file name")
     # through a symbolic link the file written is the link's target
-    folder = os.path.dirname(os.path.realpath(path))
+    target = os.path.realpath(path)
+    folder = os.path.dirname(target)
     if not os.path.isdir(folder):
         raise _OutputError(f"cannot write {path}: no directory {folder}")
+    if os.path.isdir(target):
+        raise _OutputError(f"cannot write {path}: Is a directory")
 
 
 def _write_out(path, text):
@@ -503,21 +517,19 @@ def _parse(argv):
 
 
 def main(argv=None):
+    # any other exception is a bug, left to the interpreter: its
+    # traceback, and exit 1, never the 2 of a disagreement
     try:
         handler, args = _parse(sys.argv[1:] if argv is None else argv)
-    except _Help as exc:
-        sys.stdout.write(exc.args[0])
-        return 0
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    try:
         if args.out == "-":
             # the conventional name for stdout, not a file
             args.out = None
         elif args.out is not None:
             _check_destination(args.out)
         return handler(args)
+    except _Help as exc:
+        sys.stdout.write(exc.args[0])
+        return 0
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -526,12 +538,6 @@ def main(argv=None):
         return 1
     except RouteDisagreement as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
-        return 2
-    except Exception:
-        # imported here: it loads tokenize, linecache and textwrap
-        import traceback
-        traceback.print_exc()
-        print("internal inconsistency detected", file=sys.stderr)
         return 2
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import circulant_terms.circulant as circ
 from circulant_terms.circulant import (
     ExponentVector,
     RouteDisagreement,
-    TermTable,
     cache_sizes,
     clear_caches,
     d_count,
@@ -236,7 +235,7 @@ class TestDetCoeffOracle:
             circ._EXPAND_CACHE.pop(n, None)
             swept = [det_coeff_oracle(ev) for ev in permanent_terms(n)]
             table = expand_det(n)
-            assert swept == [table.coefficient(ev)
+            assert swept == [table.get(ev.b, 0)
                              for ev in permanent_terms(n)], n
 
     def test_walk_matches_engine_past_the_sweep(self, monkeypatch):
@@ -260,20 +259,13 @@ class TestDetCoeffOracle:
 
 class TestExpandDet:
     def test_n1(self):
-        table = expand_det(1)
-        assert table.coefficient(ExponentVector(1, (1,))) == 1
-        assert len(table) == 1
+        assert expand_det(1) == {(1,): 1}
 
     def test_n2(self):
-        table = expand_det(2)
-        assert table.coefficient(ExponentVector(2, (2, 0))) == -1
-        assert table.coefficient(ExponentVector(2, (0, 2))) == 1
-        assert len(table) == 2
+        assert expand_det(2) == {(2, 0): -1, (0, 2): 1}
 
     def test_n3(self):
-        table = expand_det(3)
-        got = {ev.b: c for ev, c in table.entries.items()}
-        assert got == {
+        assert expand_det(3) == {
             (3, 0, 0): -1,
             (0, 3, 0): -1,
             (0, 0, 3): -1,
@@ -285,15 +277,18 @@ class TestExpandDet:
             assert len(expand_det(n)) == D_REFERENCE[n - 1]
 
     def test_support_is_hall_admissible(self):
+        # every key a term of size n, every value a nonzero int
         for n in range(1, 9):
-            for ev in expand_det(n).entries:
-                assert hall_admissible(ev)
+            for b, coeff in expand_det(n).items():
+                assert type(b) is tuple and len(b) == n and sum(b) == n
+                assert hall_admissible(ExponentVector(n, b))
+                assert type(coeff) is int and coeff != 0
 
     def test_agrees_with_single_coefficient_oracle(self):
         for n in range(1, 6):
             table = expand_det(n)
             for ev in permanent_terms(n):
-                assert table.coefficient(ev) == det_coeff_oracle(ev)
+                assert table.get(ev.b, 0) == det_coeff_oracle(ev)
 
 
 class TestDetCoeffEr:
@@ -631,11 +626,10 @@ class TestDetTable:
                 [det_coeff_er(ev) for ev in permanent_terms(n)], n
 
     def test_matches_signed_expansion(self):
-        for n in range(1, 9):
+        for n in range(1, 10):
             eps = sign_epsilon(n)
-            table = expand_det(n)
-            assert det_table(n) == \
-                [eps * table.coefficient(ev) for ev in permanent_terms(n)], n
+            assert expand_det(n) == {b: eps * v for b, v in
+                                     circ._orbit_values(n).items() if v}, n
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
@@ -885,7 +879,7 @@ class TestCaches:
                                  "expanded_determinants": 0,
                                  "filling_weights": 0}
         ev = ExponentVector(4, (0, 2, 0, 2))
-        values = (expand_det(4).coefficient(ev), det_coeff_er(ev),
+        values = (expand_det(4).get(ev.b, 0), det_coeff_er(ev),
                   filling_weight(Partition((4, 4, 4)), ev.mu()))
         sizes = cache_sizes()
         assert sizes["expanded_determinants"] == 1
@@ -895,24 +889,6 @@ class TestCaches:
         assert sizes["filling_weights"] == len(bricks._W_MEMO)
         clear_caches()
         assert set(cache_sizes().values()) == {0}
-        assert (expand_det(4).coefficient(ev), det_coeff_er(ev),
+        assert (expand_det(4).get(ev.b, 0), det_coeff_er(ev),
                 filling_weight(Partition((4, 4, 4)), ev.mu())) == values
 
-
-class TestTermTable:
-    def test_zero_coefficients_dropped(self):
-        table = TermTable(2, {ExponentVector(2, (2, 0)): 0,
-                              ExponentVector(2, (0, 2)): 1})
-        assert len(table) == 1
-        assert table.coefficient(ExponentVector(2, (2, 0))) == 0
-
-    def test_wrong_n_rejected(self):
-        with pytest.raises(ValueError):
-            TermTable(3, {ExponentVector(2, (2, 0)): 1})
-
-    def test_expand_det_table_passes_the_checks(self):
-        # expand_det builds its table unchecked; the checked constructor
-        # keeps every entry
-        for n in range(1, 8):
-            table = expand_det(n)
-            assert TermTable(n, table.entries).entries == table.entries

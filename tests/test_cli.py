@@ -222,7 +222,7 @@ class TestOut:
         assert not path.parent.exists()
 
     def test_write_failure_exits_1(self, capsys, tmp_path):
-        # the destination is a directory, so opening it for writing fails
+        # the destination is a directory, which no file can replace
         target = tmp_path / "taken"
         target.mkdir()
         code, _, err = run(capsys, ["table", "--max-n", "2",
@@ -230,6 +230,16 @@ class TestOut:
         assert code == 1
         assert err.startswith("error: cannot write")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_directory_refused_before_computing(self, capsys, monkeypatch,
+                                                tmp_path):
+        def refuse(*_):
+            raise AssertionError("computed before checking --out")
+        monkeypatch.setattr(cli, "_orbit_values", refuse)
+        code, out, err = run(capsys, ["verify", "7", "--out", str(tmp_path)])
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_path_exits_1(self, capsys, monkeypatch):
         def refuse(*_):
@@ -740,7 +750,8 @@ class TestParser:
         assert "not a decimal integer: '-3x'" in err
 
     def test_traceback_not_imported(self):
-        # traceback is loaded only when an internal error is reported
+        # cli never imports traceback: an internal error is left to the
+        # interpreter, which reports it
         code = ("import sys, circulant_terms.cli; "
                 "sys.exit('traceback' in sys.modules)")
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -819,14 +830,23 @@ class TestParser:
         assert run(capsys, ["coeff", "3", "--method", "both", "1,1,1"]) == \
             run(capsys, ["coeff", "3", "1,1,1", "--method=both"])
 
-    def test_internal_error_exits_2(self, capsys, monkeypatch):
-        def boom(n, method="formula"):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setattr(cli, "p_count", boom)
-        code, _, err = run(capsys, ["table", "--max-n", "2"])
-        assert code == 2
-        assert "internal inconsistency detected" in err
+    def test_internal_error_exits_1_with_traceback(self):
+        # a bug is not a disagreement between routes: the interpreter
+        # reports it and exits 1
+        code = ("import sys\n"
+                "from circulant_terms import cli\n"
+                "def boom(n):\n"
+                "    raise RuntimeError('synthetic failure')\n"
+                "cli.p_count = boom\n"
+                "sys.exit(cli.main(['table', '--max-n', '2']))\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("Traceback")
+        assert proc.stderr.endswith("RuntimeError: synthetic failure\n")
+        assert "inconsistency:" not in proc.stderr
 
 
 class TestOneLineDisagreement:
@@ -948,6 +968,25 @@ class TestEntryPoint:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == ("circulant-terms: error: the following "
                                "arguments are required: command\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["coeff", "3", "1,1,1"],
+        # 810 rows, more than one buffer of stdout
+        ["verify", "8"],
+    ])
+    def test_closed_stdout_exits_1(self, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "circulant_terms", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        # one line: no second report from the interpreter's final flush,
+        # whose failure would also make the status 120
+        assert (proc.wait(), err.count("\n")) == (1, 1)
+        assert err.startswith("error: cannot write stdout: ")
 
     def test_help_names_every_command_and_option(self):
         proc = run_module("--help")

@@ -422,6 +422,26 @@ def test_no_handler_returns_2():
     assert returns == []
 
 
+def test_main_catches_only_named_errors():
+    # a bug or a MemoryError is left to the interpreter, exit 1; 2 is
+    # only for a disagreement between routes
+    main = dict(_functions(_cli_tree()))["main"]
+    handlers = {}
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+                else [handler.type]
+            codes = {ret.value.value for ret in ast.walk(handler)
+                     if isinstance(ret, ast.Return)
+                     and isinstance(ret.value, ast.Constant)}
+            for kind in kinds:
+                handlers[getattr(kind, "id", None)] = codes
+    assert set(handlers) <= {"_Help", "_UsageError", "ValueError",
+                             "_OutputError", "RouteDisagreement"}
+    assert [name for name, codes in handlers.items() if 2 in codes] == \
+        ["RouteDisagreement"]
+
+
 def _benchmark_child():
     # perfbench/child.py as it stands, loaded by path
     spec = importlib.util.spec_from_file_location(
