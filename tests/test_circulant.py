@@ -277,12 +277,9 @@ class TestExpandDet:
             assert len(expand_det(n)) == D_REFERENCE[n - 1]
 
     def test_support_is_hall_admissible(self):
-        # every key a term of size n, every value a nonzero int
         for n in range(1, 9):
-            for b, coeff in expand_det(n).items():
-                assert type(b) is tuple and len(b) == n and sum(b) == n
+            for b in expand_det(n):
                 assert hall_admissible(ExponentVector(n, b))
-                assert type(coeff) is int and coeff != 0
 
     def test_agrees_with_single_coefficient_oracle(self):
         for n in range(1, 6):
@@ -892,3 +889,13 @@ class TestCaches:
         assert (expand_det(4).get(ev.b, 0), det_coeff_er(ev),
                 filling_weight(Partition((4, 4, 4)), ev.mu())) == values
 
+
+class TestTermTable:
+    """The table expand_det returns: a plain dict {b: coefficient}."""
+
+    def test_expand_det_table_passes_the_checks(self):
+        # every key a term of size n, every value a nonzero int
+        for n in range(1, 9):
+            for b, coeff in expand_det(n).items():
+                assert type(b) is tuple and len(b) == n and sum(b) == n
+                assert type(coeff) is int and coeff != 0
