@@ -100,7 +100,11 @@ def _emit(fieldnames, rows, fmt, out_path):
                            for row in rows], indent=2) + "\n"
     if out_path is not None:
         _write_out(out_path, text)
-        return
+    else:
+        _write_stdout(text)
+
+
+def _write_stdout(text):
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -520,16 +524,18 @@ def main(argv=None):
     # any other exception is a bug, left to the interpreter: its
     # traceback, and exit 1, never the 2 of a disagreement
     try:
-        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        try:
+            handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        except _Help as exc:
+            # written as the rows are, so a closed stdout fails alike
+            _write_stdout(exc.args[0])
+            return 0
         if args.out == "-":
             # the conventional name for stdout, not a file
             args.out = None
         elif args.out is not None:
             _check_destination(args.out)
         return handler(args)
-    except _Help as exc:
-        sys.stdout.write(exc.args[0])
-        return 0
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

@@ -868,6 +868,21 @@ class TestColumnShift:
                 assert det_coeff_oracle(ExponentVector(n, key)) == coeff, \
                     (n, key)
 
+    def test_expand_det_is_the_full_sweep(self):
+        # the table filled a rotation class at a time, not from the cache
+        for n in range(1, 9):
+            circ._EXPAND_CACHE.clear()
+            assert expand_det(n) == self.nonzero(leibniz_table(n)), n
+
+    def test_rotation_class_signs(self):
+        for n in range(1, 11):
+            table = expand_det(n)
+            for b, coeff in table.items():
+                for c in range(n):
+                    rotated = tuple(b[(w - c) % n] for w in range(n))
+                    assert table.get(rotated) == \
+                        (-1) ** (c * (n - 1)) * coeff, (n, b, c)
+
 
 class TestCaches:
     def test_sizes_reported_and_cleared(self):

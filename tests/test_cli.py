@@ -973,6 +973,8 @@ class TestEntryPoint:
         ["coeff", "3", "1,1,1"],
         # 810 rows, more than one buffer of stdout
         ["verify", "8"],
+        ["--help"],
+        ["table", "--help"],
     ])
     def test_closed_stdout_exits_1(self, argv):
         src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -323,6 +323,26 @@ def test_engine_queried_only_by_det_coeff_er():
     assert calls == 1
 
 
+def _is_leibniz_call(node):
+    return isinstance(node, ast.Call) and "_leibniz" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_leibniz_called_only_by_the_oracle_routes():
+    # one whole-table walk per n, by expand_det; the other callers each
+    # walk under one term's budget
+    callers, calls = set(), 0
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls += sum(map(_is_leibniz_call, ast.walk(tree)))
+        callers |= {(path.name, name) for name, node in _functions(tree)
+                    if any(map(_is_leibniz_call, ast.walk(node)))}
+    assert callers == {("circulant.py", "det_coeff_oracle"),
+                       ("circulant.py", "expand_det"),
+                       ("circulant.py", "sign_epsilon")}
+    assert calls == 3
+
+
 def _is_det_coeff_er_call(node):
     return isinstance(node, ast.Call) and "det_coeff_er" in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None))
